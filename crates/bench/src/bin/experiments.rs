@@ -611,12 +611,8 @@ fn run_simperf(args: &[String]) {
         return;
     }
     let t0 = Instant::now();
-    let (rows, profile) = if with_profile {
-        let (rows, p) = simperf::run_catalog_profiled(scale);
-        (rows, Some(p))
-    } else {
-        (simperf::run_catalog(scale), None)
-    };
+    let mut profile = with_profile.then(cfd_core::StageProfile::default);
+    let rows = simperf::run_catalog(scale, profile.as_mut());
     print!("{}", simperf::table(&rows));
     if let Some(p) = &profile {
         print!("{}", simperf::profile_table(p));

@@ -14,7 +14,7 @@
 //! both in-process (exit code) and as a byte-level file diff.
 
 use crate::runner::CYCLE_LIMIT;
-use cfd_core::{Core, CoreConfig, CoreError, KernelEvent, RunReport, YieldPolicy};
+use cfd_core::{Core, CoreConfig, CoreError, PauseAt, RunReport, Stop};
 use cfd_exec::run_report_to_json;
 use cfd_workloads::{catalog, Scale, Variant, Workload};
 
@@ -52,34 +52,20 @@ fn run_straight(wl: &Workload) -> RunReport {
 }
 
 /// Runs `wl` to cycle `at`, checkpoints, restores into a fresh core, and
-/// drives the restored core to completion.
+/// runs the restored core to completion.
 fn run_restored(wl: &Workload, at: u64) -> RunReport {
-    let policy = YieldPolicy { heartbeat_interval: at, ..YieldPolicy::default() };
     let mut core = Core::new(CoreConfig::default(), wl.program.clone(), wl.mem.clone())
-        .unwrap_or_else(|e| panic!("{} [{}]: {e}", wl.name, wl.variant))
-        .with_yield_policy(policy);
-    loop {
-        match core.next_event(CYCLE_LIMIT) {
-            Ok(KernelEvent::Heartbeat { cycle, .. }) if cycle == at => break,
-            Ok(KernelEvent::Halted { cycle, .. }) => {
-                panic!("{} [{}]: halted at cycle {cycle} before checkpoint point {at}", wl.name, wl.variant)
-            }
-            Ok(_) => continue,
-            Err(e) => panic!("{} [{}]: {e}", wl.name, wl.variant),
-        }
+        .unwrap_or_else(|e| panic!("{} [{}]: {e}", wl.name, wl.variant));
+    match core.drive(CYCLE_LIMIT, &mut PauseAt::Cycle(at)) {
+        Ok(Stop::Paused) => {}
+        Ok(Stop::Halted) => panic!("{} [{}]: halted before checkpoint point {at}", wl.name, wl.variant),
+        Err(e) => panic!("{} [{}]: {e}", wl.name, wl.variant),
     }
     let ckpt = core.checkpoint();
     drop(core);
-    let mut restored =
-        Core::restore(ckpt).unwrap_or_else(|e: CoreError| panic!("{} [{}] restore at {at}: {e}", wl.name, wl.variant));
-    loop {
-        match restored.next_event(CYCLE_LIMIT) {
-            Ok(KernelEvent::Halted { .. }) => break,
-            Ok(_) => continue,
-            Err(e) => panic!("{} [{}] after restore at {at}: {e}", wl.name, wl.variant),
-        }
-    }
-    restored.finish()
+    Core::restore(ckpt)
+        .and_then(|restored| restored.run(CYCLE_LIMIT))
+        .unwrap_or_else(|e: CoreError| panic!("{} [{}] restore at {at}: {e}", wl.name, wl.variant))
 }
 
 /// Runs the straight-vs-quarter-point-restored comparison over the whole

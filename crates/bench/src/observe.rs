@@ -1,4 +1,4 @@
-//! `experiments observe`: one telemetry-armed run of a catalog workload.
+//! `experiments observe`: one telemetry-observed run of a catalog workload.
 //!
 //! Unlike the figure experiments, an observation runs the core *directly*
 //! (never through the result cache): the point is the live telemetry —
@@ -8,7 +8,7 @@
 //! workload twice yields identical CSV and identical Perfetto JSON.
 
 use crate::runner::CYCLE_LIMIT;
-use cfd_core::{Core, CoreConfig, CpiStack, RunReport, TelemetryConfig};
+use cfd_core::{Core, CoreConfig, CpiStack, RunReport, Telemetry, TelemetryConfig, TelemetryReport};
 use cfd_workloads::{by_name, catalog, Scale, Variant};
 
 /// Every variant, for `--variant` label parsing.
@@ -62,19 +62,21 @@ impl Default for ObserveOptions {
     }
 }
 
-/// One telemetry-armed run and its identifying labels.
+/// One telemetry-observed run and its identifying labels.
 pub struct Observation {
     /// Workload name.
     pub name: String,
     /// Variant run.
     pub variant: Variant,
-    /// The full report; `report.telemetry` is always `Some`.
+    /// The full report.
     pub report: RunReport,
+    /// What the telemetry observer collected.
+    telemetry: TelemetryReport,
     /// Retire width the run used (for CPI/timeline scaling).
     pub width: u64,
 }
 
-/// Runs `name` with telemetry armed.
+/// Runs `name` under a telemetry observer.
 ///
 /// # Errors
 ///
@@ -92,27 +94,28 @@ pub fn observe(name: &str, opts: &ObserveOptions) -> Result<Observation, String>
     let wl = entry.build(opts.variant, opts.scale);
     let cfg = CoreConfig::default();
     let width = cfg.width as u64;
-    let report = Core::new(cfg, wl.program, wl.mem)
-        .map_err(|e| format!("{name} [{}]: {e}", opts.variant))?
-        .with_telemetry(TelemetryConfig { sample_interval: opts.interval, trace: true })
-        .run(CYCLE_LIMIT)
-        .map_err(|e| format!("{name} [{}]: {e}", opts.variant))?;
-    Ok(Observation { name: name.to_string(), variant: opts.variant, report, width })
+    let failed = |e| format!("{name} [{}]: {e}", opts.variant);
+    let mut core = Core::new(cfg, wl.program, wl.mem).map_err(failed)?;
+    let mut telemetry = Telemetry::new(TelemetryConfig { sample_interval: opts.interval, trace: true });
+    core.drive(CYCLE_LIMIT, &mut telemetry).map_err(failed)?;
+    let report = core.run(CYCLE_LIMIT).map_err(failed)?;
+    Ok(Observation { name: name.to_string(), variant: opts.variant, report, telemetry: telemetry.report(), width })
 }
 
 impl Observation {
-    fn telemetry(&self) -> &cfd_core::TelemetryReport {
-        self.report.telemetry.as_ref().expect("observation always arms telemetry")
-    }
-
     /// The sampled time series as CSV.
     pub fn csv(&self) -> String {
-        self.telemetry().series.to_csv()
+        self.telemetry.series.to_csv()
     }
 
     /// The pipeline event trace as Perfetto/Chrome trace-event JSON.
     pub fn trace_json(&self) -> String {
-        self.telemetry().trace.to_json()
+        self.telemetry.trace.to_json()
+    }
+
+    /// The metrics registry the run filled.
+    pub fn registry(&self) -> &cfd_obs::MetricsRegistry {
+        &self.telemetry.registry
     }
 
     /// The run's CPI stack.
@@ -136,8 +139,8 @@ impl Observation {
         out.push_str("CPI stack (every retire slot of every cycle attributed exactly once):\n");
         out.push_str(&stack.table(self.width, s.retired));
         out.push_str("\ntimeline (interval IPC + queue occupancies at each sample):\n");
-        out.push_str(&self.telemetry().series.ascii_timeline(self.width, 32));
-        let reg = &self.telemetry().registry;
+        out.push_str(&self.telemetry.series.ascii_timeline(self.width, 32));
+        let reg = &self.telemetry.registry;
         let (checks, wakeups, poll) =
             (reg.counter("sched.ready_checks"), reg.counter("sched.wakeup_events"), reg.counter("sched.poll_equiv"));
         let per_cycle = |n: u64| n as f64 / s.cycles.max(1) as f64;
@@ -192,7 +195,7 @@ mod tests {
         assert_eq!(a.csv(), b.csv());
         assert_eq!(a.trace_json(), b.trace_json());
         assert_eq!(a.render(), b.render());
-        assert!(!a.telemetry().series.is_empty());
+        assert!(!a.telemetry.series.is_empty());
         assert_eq!(a.cpi_stack().check(a.report.stats.cycles, a.width), Ok(()));
     }
 }

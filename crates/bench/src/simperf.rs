@@ -40,17 +40,29 @@ pub struct PerfRow {
 /// pressure, hence the most scheduler work), else its first listed
 /// variant. Simulation failures panic: every catalog workload is expected
 /// to complete (the same contract as the figure experiments).
-pub fn run_catalog(scale: Scale) -> Vec<PerfRow> {
+///
+/// With `profile`, every run goes through [`Core::run_profiled`] and its
+/// stage profile is merged into `profile`. The profiler reads `Instant`
+/// around every stage group, so those KIPS columns carry that overhead —
+/// still useful for relative comparison, but the unprofiled run stays
+/// the canonical throughput number.
+pub fn run_catalog(scale: Scale, mut profile: Option<&mut StageProfile>) -> Vec<PerfRow> {
     catalog()
         .iter()
         .map(|entry| {
             let variant = if entry.variants.contains(&Variant::Base) { Variant::Base } else { entry.variants[0] };
             let wl = entry.build(variant, scale);
             let t0 = Instant::now();
-            let report = Core::new(CoreConfig::default(), wl.program, wl.mem)
-                .unwrap_or_else(|e| panic!("{} [{variant}]: {e}", entry.name))
-                .run(CYCLE_LIMIT)
+            let core = Core::new(CoreConfig::default(), wl.program, wl.mem)
                 .unwrap_or_else(|e| panic!("{} [{variant}]: {e}", entry.name));
+            let report = match profile.as_deref_mut() {
+                Some(merged) => core.run_profiled(CYCLE_LIMIT).map(|(report, p)| {
+                    merged.merge(&p);
+                    report
+                }),
+                None => core.run(CYCLE_LIMIT),
+            }
+            .unwrap_or_else(|e| panic!("{} [{variant}]: {e}", entry.name));
             let secs = t0.elapsed().as_secs_f64().max(1e-9);
             PerfRow {
                 name: entry.name,
@@ -63,42 +75,6 @@ pub fn run_catalog(scale: Scale) -> Vec<PerfRow> {
             }
         })
         .collect()
-}
-
-/// Like [`run_catalog`], but runs every workload through
-/// [`Core::run_profiled`] and folds the per-run stage profiles into one
-/// catalog-wide [`StageProfile`].
-///
-/// Timed separately from the plain path on purpose: the profiled loop
-/// reads `Instant` between stage groups, so its KIPS column carries
-/// that overhead — still useful for relative comparison, but the
-/// unprofiled run stays the canonical throughput number.
-pub fn run_catalog_profiled(scale: Scale) -> (Vec<PerfRow>, StageProfile) {
-    let mut merged = StageProfile::default();
-    let rows = catalog()
-        .iter()
-        .map(|entry| {
-            let variant = if entry.variants.contains(&Variant::Base) { Variant::Base } else { entry.variants[0] };
-            let wl = entry.build(variant, scale);
-            let t0 = Instant::now();
-            let (report, profile) = Core::new(CoreConfig::default(), wl.program, wl.mem)
-                .unwrap_or_else(|e| panic!("{} [{variant}]: {e}", entry.name))
-                .run_profiled(CYCLE_LIMIT)
-                .unwrap_or_else(|e| panic!("{} [{variant}]: {e}", entry.name));
-            let secs = t0.elapsed().as_secs_f64().max(1e-9);
-            merged.merge(&profile);
-            PerfRow {
-                name: entry.name,
-                variant,
-                retired: report.stats.retired,
-                cycles: report.stats.cycles,
-                wall_ms: secs * 1e3,
-                kips: report.stats.retired as f64 / 1e3 / secs,
-                kcps: report.stats.cycles as f64 / 1e3 / secs,
-            }
-        })
-        .collect();
-    (rows, merged)
 }
 
 /// Renders the merged stage profile: header, the per-stage share table,
@@ -300,8 +276,8 @@ mod tests {
     #[test]
     fn simulated_columns_are_deterministic() {
         let scale = Scale { n: 60, ..Scale::default() };
-        let a = run_catalog(scale);
-        let b = run_catalog(scale);
+        let a = run_catalog(scale, None);
+        let b = run_catalog(scale, None);
         assert_eq!(a.len(), b.len());
         assert!(!a.is_empty());
         for (x, y) in a.iter().zip(&b) {
@@ -312,7 +288,7 @@ mod tests {
 
     #[test]
     fn floor_flags_only_slow_rows() {
-        let mut rows = run_catalog(Scale { n: 40, ..Scale::default() });
+        let mut rows = run_catalog(Scale { n: 40, ..Scale::default() }, None);
         assert!(below_floor(&rows, 0.0).is_empty(), "a zero floor flags nothing");
         assert_eq!(below_floor(&rows, f64::INFINITY).len(), rows.len(), "an infinite floor flags everything");
         rows[0].kips = 1.0;
@@ -324,8 +300,9 @@ mod tests {
     #[test]
     fn profiled_catalog_matches_plain_simulated_columns() {
         let scale = Scale { n: 40, ..Scale::default() };
-        let plain = run_catalog(scale);
-        let (rows, profile) = run_catalog_profiled(scale);
+        let plain = run_catalog(scale, None);
+        let mut profile = StageProfile::default();
+        let rows = run_catalog(scale, Some(&mut profile));
         assert_eq!(plain.len(), rows.len());
         for (x, y) in plain.iter().zip(&rows) {
             assert_eq!(
@@ -344,19 +321,20 @@ mod tests {
 
     #[test]
     fn history_record_is_one_json_line_with_optional_profile() {
-        let rows = run_catalog(Scale { n: 40, ..Scale::default() });
+        let rows = run_catalog(Scale { n: 40, ..Scale::default() }, None);
         let bare = history_record(&rows, None, 1_700_000_000, 40);
         assert!(bare.starts_with("{\"ts\":1700000000,\"scale\":40,\"rows\":["), "{bare}");
         assert!(bare.ends_with(",\"profile\":null}"), "{bare}");
         assert!(!bare.contains('\n'));
-        let (rows, profile) = run_catalog_profiled(Scale { n: 40, ..Scale::default() });
+        let mut profile = StageProfile::default();
+        let rows = run_catalog(Scale { n: 40, ..Scale::default() }, Some(&mut profile));
         let with = history_record(&rows, Some(&profile), 1, 40);
         assert!(with.contains("\"profile\":{\"ns\":{\"frontend\":"), "{with}");
     }
 
     #[test]
     fn json_has_one_object_per_row() {
-        let rows = run_catalog(Scale { n: 40, ..Scale::default() });
+        let rows = run_catalog(Scale { n: 40, ..Scale::default() }, None);
         let json = to_json(&rows);
         assert!(json.starts_with('[') && json.ends_with(']'));
         assert_eq!(json.matches("\"workload\"").count(), rows.len());

@@ -3,27 +3,25 @@
 //! A [`Checkpoint`] is a deep copy of the entire [`Pipeline`] — both
 //! functional oracles (including the committed memory image), the front
 //! end with its CFD queues, rename state, ROB, scheduler wheels, cache
-//! hierarchy, statistics, and the kernel's own stepping state — sealed
-//! with a version tag and an FNV-1a digest of an architectural state
-//! summary.
+//! hierarchy, statistics, and the retirement watchdog — sealed with a
+//! version tag and an FNV-1a digest of an architectural state summary.
+//! It copies simulated state only: observers (pipe trace, post-mortem
+//! ring, telemetry, stage profiler) live outside the pipeline, so a
+//! restored core starts unobserved and whoever drives it brings their
+//! own.
 //!
 //! **Determinism contract:** the simulator is a deterministic function of
 //! (config, program, memory image), so a core restored from a checkpoint
 //! taken at cycle *C* and run to completion produces a [`RunReport`]
-//! byte-identical to the uninterrupted run's — every counter, histogram
-//! and telemetry artifact, not just the headline IPC. `scripts/verify.sh`
-//! gates on this (`experiments ckpt`), and `crates/core/tests/checkpoint.rs`
-//! exercises it at every quarter point of every catalog workload.
+//! byte-identical to the uninterrupted run's — every counter and
+//! histogram, not just the headline IPC. `scripts/verify.sh` gates on this
+//! (`experiments ckpt`), and `crates/core/tests/checkpoint.rs` exercises
+//! it at every quarter point of every catalog workload.
 //!
-//! Two host-port caveats, both deliberate:
-//!
-//! * a restored core *shares* the original's
-//!   [`CancelToken`](crate::CancelToken) (tokens are `Arc`-backed
-//!   supervisor handles, not simulated state), so a supervisor's cancel
-//!   reaches restored descendants too;
-//! * telemetry state is copied, so a restored run's artifacts continue the
-//!   original's — which is exactly what the byte-determinism contract
-//!   requires.
+//! One host-port caveat, deliberate: a restored core *shares* the
+//! original's [`CancelToken`](crate::CancelToken) (tokens are `Arc`-backed
+//! supervisor handles, not simulated state), so a supervisor's cancel
+//! reaches restored descendants too.
 //!
 //! [`RunReport`]: crate::RunReport
 
@@ -32,7 +30,7 @@ use crate::pipeline::Pipeline;
 
 /// Format version for [`Checkpoint`] validation; bumped whenever the
 /// digest summary or clone semantics change incompatibly.
-pub const CHECKPOINT_VERSION: u32 = 1;
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// A resumable full-state snapshot of a [`Core`] mid-run.
 ///
@@ -138,15 +136,14 @@ fn state_digest(p: &Pipeline) -> u64 {
     for s in &p.store_list {
         h.put(*s);
     }
-    h.put(p.retire_acc);
     h.put(p.last_retired.0);
     h.put(p.last_retired.1);
     h.0
 }
 
 impl Core {
-    /// Snapshots the complete simulated state mid-run (any yield point of
-    /// [`Core::next_event`], or before the first). Restoring the snapshot
+    /// Snapshots the complete simulated state mid-run (wherever
+    /// [`Core::drive`] paused, or before the first drive). Restoring the snapshot
     /// and running to completion is byte-identical to never having
     /// stopped — see the module docs for the contract and its host-port
     /// caveats.

@@ -10,7 +10,8 @@
 
 use crate::core::CoreError;
 use crate::fault::{FaultKind, FaultSite};
-use crate::host::{FaultHost, MemoryHost, TelemetryHost};
+use crate::host::{FaultHost, MemoryHost};
+use crate::kernel::KernelEvent;
 use crate::pipeline::{DynInst, Pipeline};
 use crate::rename::join_taint;
 use crate::stats::level_index;
@@ -29,7 +30,6 @@ impl Pipeline {
                 self.recover_at(0);
             }
             let mut e = self.rob.pop_front().expect("head exists");
-            self.trace_record(&e, Some(self.now));
 
             // Oracle cross-check: the retired stream must match functional
             // execution exactly.
@@ -44,16 +44,12 @@ impl Pipeline {
             // Architectural queue high-water marks, sampled on the committed
             // (oracle) state so speculation never inflates them. cfd-harden
             // checks these against the static bounds from cfd-lint.
-            self.stats.max_bq_occupancy = self.stats.max_bq_occupancy.max(self.oracle.bq.len() as u64);
-            self.stats.max_vq_occupancy = self.stats.max_vq_occupancy.max(self.oracle.vq.len() as u64);
-            self.stats.max_tq_occupancy = self.stats.max_tq_occupancy.max(self.oracle.tq.len() as u64);
-            // The registry gauges sample the same committed state at the
-            // same point, so each gauge's high-water mark equals the
-            // `max_*_occupancy` counter above by construction.
-            if self.telem.armed() {
-                self.telem.gauge_set("core.bq_occupancy", self.oracle.bq.len() as u64);
-                self.telem.gauge_set("core.vq_occupancy", self.oracle.vq.len() as u64);
-                self.telem.gauge_set("core.tq_occupancy", self.oracle.tq.len() as u64);
+            let (bq, vq, tq) = (self.oracle.bq.len() as u64, self.oracle.vq.len() as u64, self.oracle.tq.len() as u64);
+            self.stats.max_bq_occupancy = self.stats.max_bq_occupancy.max(bq);
+            self.stats.max_vq_occupancy = self.stats.max_vq_occupancy.max(vq);
+            self.stats.max_tq_occupancy = self.stats.max_tq_occupancy.max(tq);
+            if let Some(out) = &mut self.outbox {
+                out.push(KernelEvent::Retire { inst: e.pipe_event(Some(self.now)), bq, vq, tq });
             }
 
             self.stats.retired += 1;
@@ -189,7 +185,7 @@ impl Pipeline {
         }
         if mispredicted {
             self.rob[idx].mispredict = true;
-            let truncated = self.begin_recovery(idx, actual_target, actual_taken);
+            let truncated = self.begin_recovery(idx);
             // OoO checkpoint reclamation: the checkpoint was consumed by the
             // recovery (or was never held); release it now, not at retire.
             self.release_checkpoint(idx);
@@ -227,11 +223,7 @@ impl Pipeline {
             _ => {}
         }
         self.events.bq_ops += 1;
-        let r = self.bq.execute_push_tainted(abs, predicate, level_index(taint) as u8);
-        if self.trace {
-            eprintln!("[{}] EXEC_PUSH seq={} abs={} pred={} result={:?}", self.now, self.rob[i].seq, abs, predicate, r);
-        }
-        let Some((pop_seq, spec_pred)) = r else {
+        let Some((pop_seq, spec_pred)) = self.bq.execute_push_tainted(abs, predicate, level_index(taint) as u8) else {
             return false;
         };
         // Late push: find the speculative pop and verify it.
@@ -263,10 +255,9 @@ impl Pipeline {
         }
         // Speculation failed: the pop's direction flips (taken = !predicate).
         self.stats.bq_spec_recoveries += 1;
-        let target = if actual_taken { taken_target } else { self.rob[pop_idx].pc + 1 };
         self.rob[pop_idx].mispredict = true;
         self.rob[pop_idx].resolved_taken = Some(actual_taken);
-        let truncated = self.begin_recovery(pop_idx, target, actual_taken);
+        let truncated = self.begin_recovery(pop_idx);
         self.release_checkpoint(pop_idx);
         truncated
     }
@@ -274,7 +265,7 @@ impl Pipeline {
     /// Starts recovery for the mispredicted instruction at ROB index `i`:
     /// immediately when it holds a checkpoint, else deferred to retirement.
     /// Returns true when the ROB was truncated now.
-    pub(crate) fn begin_recovery(&mut self, i: usize, _target: u32, _actual_taken: bool) -> bool {
+    pub(crate) fn begin_recovery(&mut self, i: usize) -> bool {
         if self.fault_has_fired() {
             self.stats.post_fault_recoveries += 1;
         }
@@ -327,12 +318,6 @@ impl Pipeline {
                 e.pred_meta.clone(),
             )
         };
-        if self.trace {
-            eprintln!(
-                "[{}] BQ_RECOVER to snap head={} tail={} (was h={} t={})",
-                self.now, snap.bq.head, snap.bq.tail, self.bq.head, self.bq.tail
-            );
-        }
         self.bq.recover(&snap.bq);
         self.tq.recover(&snap.tq);
         // The VQ renamer was already repaired by the squash walk (it is a
@@ -360,35 +345,8 @@ impl Pipeline {
         self.fetch_resume_at = self.now + 1;
         self.fetch_halted = false;
         self.refill_after_recovery = true;
-        if self.telem.armed() {
-            self.telem.counter_add("core.recoveries", 1);
-            self.telem.histogram_record("core.squash_depth", squashed);
-            self.telem.trace_instant(
-                "recovery",
-                "pipe",
-                self.now,
-                vec![
-                    ("pc", (pc as u64).into()),
-                    ("seq", seq.into()),
-                    ("target", (target as u64).into()),
-                    ("squashed", squashed.into()),
-                ],
-            );
-        }
-        if self.yield_policy.on_recovery {
-            self.pending_events.push_back(crate::kernel::KernelEvent::Recovery {
-                cycle: self.now,
-                pc,
-                seq,
-                target,
-                squashed,
-            });
-        }
-        if self.trace {
-            eprintln!(
-                "[{}] RECOVER seq={} pc={} `{}` -> target {} (diverged={:?})",
-                self.now, seq, pc, instr, target, self.diverged_at
-            );
+        if let Some(out) = &mut self.outbox {
+            out.push(KernelEvent::Recovery { cycle: self.now, pc, seq, target, squashed });
         }
 
         // Resynchronize the fetch oracle when the diverging instruction
@@ -408,7 +366,9 @@ impl Pipeline {
     }
 
     fn squash_entry(&mut self, victim: &mut DynInst) {
-        self.trace_record(victim, None);
+        if let Some(out) = &mut self.outbox {
+            out.push(KernelEvent::Squash(victim.pipe_event(None)));
+        }
         if victim.in_iq && !victim.issued {
             self.iq_count -= 1;
         }

@@ -109,10 +109,6 @@ pub struct CoreConfig {
     /// Watchdog: declare a deadlock when no instruction retires for this
     /// many cycles. Bounds the detection latency of dropped-entry faults.
     pub watchdog_cycles: u64,
-    /// Keep the last N per-cycle pipeline snapshots for post-mortem dumps
-    /// (see [`Core::run_diag`](crate::Core::run_diag)); 0 disables the
-    /// ring.
-    pub post_mortem_depth: usize,
 }
 
 impl Default for CoreConfig {
@@ -143,7 +139,6 @@ impl Default for CoreConfig {
             model_icache: true,
             verify_retirement: true,
             watchdog_cycles: 100_000,
-            post_mortem_depth: 0,
         }
     }
 }

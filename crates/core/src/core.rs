@@ -30,19 +30,19 @@
 //! The stage logic lives in the modules above, each an `impl` block on the
 //! shared [`Pipeline`](crate::pipeline::Pipeline) state struct; the step
 //! loop that sequences the stages (commit → complete → issue → dispatch →
-//! fetch) lives in [`crate::kernel`]. This module owns the public [`Core`]
-//! wrapper — whose entry points all pump that one kernel loop — and report
-//! finalization.
+//! fetch) is [`Core::drive`] in [`crate::kernel`]. This module owns the
+//! public [`Core`] wrapper — whose run methods are all `drive` with some
+//! observer — and report finalization.
 
 use crate::config::CoreConfig;
 use crate::fault::{FailureReport, FaultSpec};
-use crate::host::{ControlPort, FaultHost, FaultPort, MemoryHost, TelemetryHost, TelemetryPort};
-use crate::kernel::{KernelEvent, NullClock};
+use crate::host::{ControlPort, FaultHost, FaultPort, MemoryHost};
+use crate::kernel::Observer;
 use crate::pipeline::Pipeline;
+use crate::stage_profile::{StageProfile, StageProfiler};
 use crate::stats::RunReport;
-use crate::trace::PipeTrace;
+use crate::trace::SnapRing;
 use cfd_isa::{MemImage, Program};
-use cfd_obs::TelemetryConfig;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -199,14 +199,6 @@ impl Core {
         Ok(Core { p: Pipeline::new(cfg, program, mem)? })
     }
 
-    /// Enables pipeline tracing for the first `limit` fetched instructions
-    /// (see [`PipeTrace`]); the trace is returned in the [`RunReport`].
-    #[must_use]
-    pub fn with_pipe_trace(mut self, limit: usize) -> Self {
-        self.p.pipe_trace = Some(PipeTrace::new(limit));
-        self
-    }
-
     /// Arms one deterministic fault injection (see [`crate::fault`]).
     #[must_use]
     pub fn with_fault(mut self, spec: FaultSpec) -> Self {
@@ -224,18 +216,9 @@ impl Core {
         self
     }
 
-    /// Arms telemetry: the metrics registry, interval time-series sampling
-    /// and (per `cfg.trace`) the pipeline event trace. The artifacts come
-    /// back in [`RunReport::telemetry`]. Telemetry only observes
-    /// microarchitectural state — it never changes simulated timing, so
-    /// every other report field is byte-identical with or without it.
-    #[must_use]
-    pub fn with_telemetry(mut self, cfg: TelemetryConfig) -> Self {
-        self.p.telem = TelemetryPort::armed_with(cfg);
-        self
-    }
-
-    /// Runs until `Halt` retires or `cycle_limit` elapses.
+    /// Runs until `Halt` retires or `cycle_limit` elapses: [`Core::drive`]
+    /// with the null observer, then the report. After an observed
+    /// `drive` reached the halt, this only packages the report.
     ///
     /// # Errors
     ///
@@ -243,76 +226,46 @@ impl Core {
     /// [`CoreError::OracleMismatch`]/[`CoreError::Program`] on internal
     /// verification failures (these indicate simulator or program bugs).
     pub fn run(mut self, cycle_limit: u64) -> Result<RunReport, CoreError> {
-        loop {
-            if let KernelEvent::Halted { .. } = self.p.pump(cycle_limit, &mut NullClock)? {
-                return Ok(self.into_report());
-            }
-        }
+        self.drive(cycle_limit, &mut ())?;
+        Ok(self.into_report())
     }
 
-    /// Like [`Core::run`], but a failure carries full post-mortem
-    /// diagnostics: the typed error, the final pipeline state, the
-    /// per-cycle snapshot ring (when `post_mortem_depth > 0`), and the
-    /// injected fault's record when one fired.
+    /// Like [`Core::run`] with `obs` watching (until it pauses, if it
+    /// does), but a failure carries post-mortem diagnostics: the typed
+    /// error, the final pipeline state, the last cycles' snapshots (a
+    /// [`SnapRing`]), and the injected fault's record when one fired.
     ///
     /// # Errors
     ///
     /// A boxed [`FailureReport`] wrapping the same [`CoreError`]s as
     /// [`Core::run`].
-    pub fn run_diag(mut self, cycle_limit: u64) -> Result<RunReport, Box<FailureReport>> {
-        let outcome = loop {
-            match self.p.pump(cycle_limit, &mut NullClock) {
-                Ok(KernelEvent::Halted { .. }) => break Ok(()),
-                Ok(_) => continue,
-                Err(e) => break Err(e),
-            }
-        };
-        match outcome {
-            Ok(()) => Ok(self.into_report()),
-            Err(error) => {
-                let mut post_mortem = format!(
-                    "final state: {}\nlast {} cycles:\n",
-                    self.p.dump_state(),
-                    self.p.snap_ring.snaps().count()
-                );
-                post_mortem.push_str(&self.p.snap_ring.render());
-                let injection = self.p.fault.fired_record();
-                let telemetry = self.p.telem.take_report();
-                Err(Box::new(FailureReport { error, post_mortem, injection, telemetry }))
-            }
+    pub fn run_diag<O: Observer>(mut self, cycle_limit: u64, obs: &mut O) -> Result<RunReport, Box<FailureReport>> {
+        let mut ring = SnapRing::default();
+        let observed = self.drive(cycle_limit, &mut (&mut ring, obs));
+        let outcome = observed.and_then(|_| self.drive(cycle_limit, &mut ring));
+        if let Err(error) = outcome {
+            let mut post_mortem =
+                format!("final state: {}\nlast {} cycles:\n", self.p.dump_state(), ring.snaps().count());
+            post_mortem.push_str(&ring.render());
+            let injection = self.p.fault.fired_record();
+            return Err(Box::new(FailureReport { error, post_mortem, injection }));
         }
+        Ok(self.into_report())
     }
 
     /// Like [`Core::run`], but attributes host wall time to the five
-    /// stage groups and returns the [`StageProfile`](crate::StageProfile)
-    /// next to the report. It drives the same kernel step loop as
-    /// [`Core::run`] with the profiling stage clock;
-    /// timing is host-side observability only: the report is
-    /// byte-identical to what [`Core::run`] produces for the same inputs.
-    /// Only available with the `stage-profile` feature.
+    /// stage groups and returns the [`StageProfile`] next to the report:
+    /// [`Core::drive`] with the [`StageProfiler`]. Timing is host-side
+    /// observability only: the report is byte-identical to what
+    /// [`Core::run`] produces for the same inputs.
     ///
     /// # Errors
     ///
     /// The same [`CoreError`]s as [`Core::run`].
-    #[cfg(feature = "stage-profile")]
-    pub fn run_profiled(
-        mut self,
-        cycle_limit: u64,
-    ) -> Result<(RunReport, crate::stage_profile::StageProfile), CoreError> {
-        let mut profile = crate::stage_profile::StageProfile::default();
-        {
-            let mut clock = crate::kernel::ProfClock::new(&mut profile);
-            loop {
-                if let KernelEvent::Halted { .. } = self.p.pump(cycle_limit, &mut clock)? {
-                    break;
-                }
-            }
-        }
-        profile.cycles = self.p.now;
-        profile.sched_ready_checks = self.p.sched_ready_checks;
-        profile.sched_wakeup_events = self.p.sched_wakeup_events;
-        profile.sched_poll_equiv = self.p.sched_poll_equiv;
-        Ok((self.into_report(), profile))
+    pub fn run_profiled(mut self, cycle_limit: u64) -> Result<(RunReport, StageProfile), CoreError> {
+        let mut profiler = StageProfiler::default();
+        self.drive(cycle_limit, &mut profiler)?;
+        Ok((self.run(cycle_limit)?, profiler.profile))
     }
 
     /// Finalizes counters and packages the report (successful runs only).
@@ -326,42 +279,19 @@ impl Core {
             "{}",
             p.stats.cpi_stack().check(p.stats.cycles, p.cfg.width as u64).err().unwrap_or_default()
         );
-        // Final time-series row at the true end-of-run cycle (captures the
-        // retirements of the halting cycle), unless one landed there.
-        p.final_sample();
         let (l1, l2, l3) = p.mem.cache_stats();
         p.events.l1d_accesses = l1.accesses;
         p.events.l2_accesses = l2.accesses;
         p.events.l3_accesses = l3.accesses;
         p.events.dram_accesses = p.mem.level_counts()[3];
         p.events.btb_ops = p.btb.lookups;
-        if p.telem.armed() {
-            // Mirror the headline aggregates into the registry so its
-            // rendering is self-contained.
-            p.telem.counter_add("core.cycles", p.stats.cycles);
-            p.telem.counter_add("core.retired", p.stats.retired);
-            p.telem.counter_add("core.fetched", p.stats.fetched);
-            p.telem.counter_add("core.mispredictions", p.stats.mispredictions);
-            p.telem.counter_add("core.retired_branches", p.stats.retired_branches);
-            // Scheduler-efficiency counters: readiness checks the
-            // event-driven scheduler actually performed, wakeup events it
-            // processed, and what a per-cycle polling scheduler would have
-            // scanned (`iq_count` summed over cycles). Host-side
-            // observability only — they never feed back into timing.
-            p.telem.counter_add("sched.ready_checks", p.sched_ready_checks);
-            p.telem.counter_add("sched.wakeup_events", p.sched_wakeup_events);
-            p.telem.counter_add("sched.poll_equiv", p.sched_poll_equiv);
-        }
-        let telemetry = p.telem.take_report();
         RunReport {
             stats: p.stats,
             events: p.events,
             cache_stats: (l1, l2, l3),
             mshr_histogram: p.mem.mshr_histogram().to_vec(),
             level_counts: p.mem.level_counts(),
-            pipe_trace: p.pipe_trace,
             injection: p.fault.fired_record(),
-            telemetry,
         }
     }
 }

@@ -166,7 +166,7 @@ impl Pipeline {
         self.stats.bq_spec_recoveries += 1;
         self.rob[idx].mispredict = true;
         self.rob[idx].resolved_taken = Some(actual_taken);
-        let truncated = self.begin_recovery(idx, 0, actual_taken);
+        let truncated = self.begin_recovery(idx);
         self.release_checkpoint(if truncated { self.rob.len() - 1 } else { idx });
         truncated
     }

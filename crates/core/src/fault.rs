@@ -128,7 +128,7 @@ pub struct FaultSpec {
 }
 
 /// Proof that a fault actually fired: the class, the cycle, and the site.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InjectionRecord {
     /// The injected fault class.
     pub kind: FaultKind,
@@ -187,14 +187,10 @@ pub struct FailureReport {
     /// The failure, naming the faulting structure.
     pub error: CoreError,
     /// Rendered post-mortem: the final pipeline state line plus the
-    /// per-cycle snapshot ring (when `post_mortem_depth > 0`).
+    /// per-cycle snapshot ring.
     pub post_mortem: String,
     /// The injected fault, when one was configured and actually fired.
     pub injection: Option<InjectionRecord>,
-    /// Telemetry captured up to the failure, when the run was armed via
-    /// [`Core::with_telemetry`](crate::Core::with_telemetry) — the trace
-    /// holds the fault instant and the recoveries leading to the failure.
-    pub telemetry: Option<cfd_obs::TelemetryReport>,
 }
 
 impl std::fmt::Display for FailureReport {

@@ -194,9 +194,6 @@ impl Pipeline {
             }
             Instr::PushBq { .. } => {
                 e.bq_abs = Some(self.bq.fetch_push());
-                if self.trace {
-                    eprintln!("[{}] FETCH_PUSH seq={} abs={:?}", self.now, seq, e.bq_abs);
-                }
                 self.events.bq_ops += 1;
             }
             Instr::BranchOnBq { target } => {
@@ -240,12 +237,6 @@ impl Pipeline {
                                 let predicted_pred = predicted_pred
                                     ^ (self.fault_at(crate::fault::FaultSite::PredictorPredict)
                                         == Some(crate::fault::FaultKind::PredictorFlip));
-                                if self.trace {
-                                    eprintln!(
-                                        "[{}] SPEC_POP seq={} abs={} pred={}",
-                                        self.now, seq, abs, predicted_pred
-                                    );
-                                }
                                 e.spec_pop = true;
                                 if abs < self.bq.tail {
                                     // A push owns this entry: link for late-push
@@ -337,12 +328,6 @@ impl Pipeline {
             let actually_next = ev.next_pc;
             if next_pc != actually_next && self.diverged_at.is_none() {
                 self.diverged_at = Some(seq);
-                if self.trace {
-                    eprintln!(
-                        "[{}] DIVERGE seq={} pc={} `{}` chose next={} oracle next={}",
-                        self.now, seq, pc, instr, next_pc, actually_next
-                    );
-                }
             }
         }
 

@@ -4,26 +4,26 @@
 //! The pipeline stages ([`frontend`](crate::frontend),
 //! [`dispatch`](crate::dispatch), [`scheduler`](crate::scheduler),
 //! [`lsq`](crate::lsq), [`commit`](crate::commit)) never touch the cache
-//! hierarchy, cfd-obs telemetry, fault injection, or cancellation tokens
-//! directly. Each capability sits behind a narrow trait —
-//! [`MemoryHost`], [`TelemetryHost`], [`FaultHost`], [`ControlHost`] —
-//! implemented by a *port* struct whose internals are private to this
-//! module, so the only operations a stage can perform are the trait
-//! methods. That makes the kernel's external surface auditable by reading
-//! four trait definitions, and it is what lets the kernel be checkpointed,
-//! resumed, and re-hosted (sampled simulation, future multi-core) without
-//! touching stage code.
+//! hierarchy, fault injection, or cancellation tokens directly. Each
+//! capability sits behind a narrow trait — [`MemoryHost`], [`FaultHost`],
+//! [`ControlHost`] — implemented by a *port* struct whose internals are
+//! private to this module, so the only operations a stage can perform are
+//! the trait methods. Observations leave by one other door, the
+//! [`Observer`](crate::Observer) that [`Core::drive`](crate::Core::drive)
+//! reports to. That makes the kernel's external surface auditable by
+//! reading four trait definitions, and it is what lets the kernel be
+//! checkpointed, resumed, and re-hosted (sampled simulation, future
+//! multi-core) without touching stage code.
 //!
-//! Every port has a **null state** (telemetry unarmed, no fault armed, no
-//! cancel token) whose trait methods reduce to an `Option` check — the
-//! same cost the pre-refactor field tests paid, so a run with null hosts
-//! is as fast as the old direct-field code. `scripts/verify.sh` holds this
-//! to a hard simperf KIPS floor.
+//! Every port has a **null state** (no fault armed, no cancel token) whose
+//! trait methods reduce to an `Option` check — the same cost the
+//! pre-refactor field tests paid, so a run with null hosts is as fast as
+//! the old direct-field code. `scripts/verify.sh` holds this to a hard
+//! simperf KIPS floor.
 
 use crate::core::{CancelToken, CoreError};
 use crate::fault::{FaultKind, FaultSite, FaultSpec, FaultState, InjectionRecord};
 use cfd_mem::{AccessResult, Cache, CacheConfig, CacheStats, Hierarchy, HierarchyConfig};
-use cfd_obs::{ArgValue, MetricsRegistry, TelemetryConfig, TelemetryReport, TimeSeries, TraceLog};
 
 // ----------------------------------------------------------------------
 // Memory
@@ -98,187 +98,6 @@ impl MemoryHost for MemoryPort {
 
     fn level_counts(&self) -> [u64; 4] {
         self.hier.level_counts
-    }
-}
-
-// ----------------------------------------------------------------------
-// Telemetry
-// ----------------------------------------------------------------------
-
-/// Time-series schema: cumulative counters sampled every N cycles.
-/// `cycle` stamps the row; everything else is cumulative-so-far, so rates
-/// (IPC, miss ratios, predictor accuracy) are derived by differencing
-/// adjacent rows.
-pub(crate) const SERIES_COLUMNS: [&str; 27] = [
-    "cycle",
-    "retired",
-    "fetched",
-    "mispredictions",
-    "retired_branches",
-    "rob",
-    "iq",
-    "lsq",
-    "front_q",
-    "bq",
-    "vq",
-    "tq",
-    "l1_accesses",
-    "l1_hits",
-    "l2_accesses",
-    "l2_hits",
-    "l3_accesses",
-    "l3_hits",
-    "cpi_base",
-    "cpi_frontend",
-    "cpi_mispredict",
-    "cpi_cfd_stall",
-    "cpi_mem_l1",
-    "cpi_mem_l2",
-    "cpi_mem_l3",
-    "cpi_mem_dram",
-    "cpi_backend",
-];
-
-/// Live telemetry attached to a run via
-/// [`Core::with_telemetry`](crate::Core::with_telemetry).
-#[derive(Debug, Clone)]
-struct TelemetryState {
-    cfg: TelemetryConfig,
-    registry: MetricsRegistry,
-    series: TimeSeries,
-    trace: TraceLog,
-    /// Next cycle stamp at which to push a series row.
-    next_sample: u64,
-}
-
-impl TelemetryState {
-    fn new(cfg: TelemetryConfig) -> TelemetryState {
-        TelemetryState {
-            registry: MetricsRegistry::enabled(),
-            series: TimeSeries::new(cfg.sample_interval, SERIES_COLUMNS.to_vec()),
-            trace: if cfg.trace { TraceLog::enabled() } else { TraceLog::disabled() },
-            next_sample: if cfg.sample_interval > 0 { cfg.sample_interval } else { u64::MAX },
-            cfg,
-        }
-    }
-}
-
-/// The kernel's only route to cfd-obs: metrics, interval time-series
-/// sampling, and the pipeline event trace.
-///
-/// Telemetry only observes microarchitectural state — no method feeds back
-/// into simulated timing, so every report field outside
-/// [`RunReport::telemetry`](crate::RunReport::telemetry) is byte-identical
-/// whether or not the port is armed.
-pub trait TelemetryHost {
-    /// Whether telemetry is armed at all (the null port answers false).
-    fn armed(&self) -> bool;
-    /// Adds `n` to a named monotonic counter.
-    fn counter_add(&mut self, name: &'static str, n: u64);
-    /// Sets a named gauge (its high-water mark is tracked).
-    fn gauge_set(&mut self, name: &'static str, v: u64);
-    /// Records one observation into a named histogram.
-    fn histogram_record(&mut self, name: &'static str, v: u64);
-    /// Emits an instant event into the pipeline trace.
-    fn trace_instant(&mut self, name: &'static str, cat: &'static str, ts: u64, args: Vec<(&'static str, ArgValue)>);
-    /// Emits a counter sample into the pipeline trace.
-    fn trace_counter(&mut self, name: &'static str, cat: &'static str, ts: u64, args: Vec<(&'static str, ArgValue)>);
-    /// Whether the event trace is collecting (cheaper than building args).
-    fn trace_enabled(&self) -> bool;
-    /// Whether a time-series row is due at `cycle` (or `force`d).
-    fn sample_due(&self, cycle: u64, force: bool) -> bool;
-    /// Pushes one time-series row stamped `cycle` and advances the
-    /// sampling clock past it.
-    fn record_sample(&mut self, cycle: u64, row: Vec<u64>);
-    /// Whether the end-of-run row at `cycle` still needs to be pushed.
-    fn needs_final_sample(&self, cycle: u64) -> bool;
-    /// Detaches the collected artifacts (report finalization); the port
-    /// reverts to null.
-    fn take_report(&mut self) -> Option<TelemetryReport>;
-}
-
-/// The built-in telemetry port; null until armed.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct TelemetryPort {
-    state: Option<Box<TelemetryState>>,
-}
-
-impl TelemetryPort {
-    pub(crate) fn unarmed() -> TelemetryPort {
-        TelemetryPort::default()
-    }
-
-    pub(crate) fn armed_with(cfg: TelemetryConfig) -> TelemetryPort {
-        TelemetryPort { state: Some(Box::new(TelemetryState::new(cfg))) }
-    }
-}
-
-impl TelemetryHost for TelemetryPort {
-    #[inline]
-    fn armed(&self) -> bool {
-        self.state.is_some()
-    }
-
-    fn counter_add(&mut self, name: &'static str, n: u64) {
-        if let Some(t) = &mut self.state {
-            t.registry.counter_add(name, n);
-        }
-    }
-
-    fn gauge_set(&mut self, name: &'static str, v: u64) {
-        if let Some(t) = &mut self.state {
-            t.registry.gauge_set(name, v);
-        }
-    }
-
-    fn histogram_record(&mut self, name: &'static str, v: u64) {
-        if let Some(t) = &mut self.state {
-            t.registry.histogram_record(name, v);
-        }
-    }
-
-    fn trace_instant(&mut self, name: &'static str, cat: &'static str, ts: u64, args: Vec<(&'static str, ArgValue)>) {
-        if let Some(t) = &mut self.state {
-            t.trace.instant(name, cat, ts, 0, 0, args);
-        }
-    }
-
-    fn trace_counter(&mut self, name: &'static str, cat: &'static str, ts: u64, args: Vec<(&'static str, ArgValue)>) {
-        if let Some(t) = &mut self.state {
-            t.trace.counter(name, cat, ts, 0, args);
-        }
-    }
-
-    fn trace_enabled(&self) -> bool {
-        self.state.as_ref().is_some_and(|t| t.trace.is_enabled())
-    }
-
-    #[inline]
-    fn sample_due(&self, cycle: u64, force: bool) -> bool {
-        match &self.state {
-            Some(t) => t.cfg.sample_interval > 0 && (force || cycle >= t.next_sample),
-            None => false,
-        }
-    }
-
-    fn record_sample(&mut self, cycle: u64, row: Vec<u64>) {
-        let Some(t) = &mut self.state else { return };
-        t.series.push_row(row);
-        let step = t.cfg.sample_interval.max(1);
-        while t.next_sample <= cycle {
-            t.next_sample += step;
-        }
-    }
-
-    fn needs_final_sample(&self, cycle: u64) -> bool {
-        match &self.state {
-            Some(t) => t.cfg.sample_interval > 0 && t.series.rows.last().is_none_or(|r| r[0] != cycle),
-            None => false,
-        }
-    }
-
-    fn take_report(&mut self) -> Option<TelemetryReport> {
-        self.state.take().map(|t| TelemetryReport { registry: t.registry, series: t.series, trace: t.trace })
     }
 }
 

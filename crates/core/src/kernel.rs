@@ -1,48 +1,65 @@
-//! The yield-based stepping kernel: one step loop for every entry point.
+//! The stepping kernel and its one way out: [`Core::drive`] and the
+//! [`Observer`] it reports to.
 //!
-//! Historically `run`, `run_diag` and `run_profiled` each owned a copy of
-//! the per-cycle loop body, and the cfd-exec engine could only consume a
-//! whole run at once. This module inverts the control: the kernel advances
-//! cycle by cycle ([`Pipeline::step_cycle`]) and *yields* structured
-//! [`KernelEvent`]s ([`Pipeline::pump`]) whenever the armed
-//! [`YieldPolicy`] says something interesting happened. All public entry
-//! points — [`Core::run`](crate::Core::run),
-//! [`Core::run_diag`](crate::Core::run_diag),
-//! [`Core::run_profiled`](crate::Core::run_profiled), the engine's
-//! cancellable jobs, checkpointed stepping and sampled simulation — drive
-//! this one loop, so the per-cycle guard logic ([`Pipeline::cycle_gate`])
-//! exists in exactly one place.
+//! [`Core::drive`] is the only loop that advances the pipeline. Each cycle
+//! runs the guard gate ([`Pipeline::cycle_gate`]), then the stages in
+//! reverse pipeline order. Everything that leaves the kernel on the way is
+//! one [`KernelEvent`] handed to the caller's [`Observer`]: retirements,
+//! squashes, recoveries, a fired fault, the per-cycle occupancy snapshot
+//! and the per-stage laps. The observer can also pause the loop at a cycle
+//! boundary; the core is then resumable (drive again) and checkpointable.
+//! [`Core::run`](crate::Core::run) is `drive` with the null observer `()`,
+//! and every other driver — profiled, post-mortem, checkpointed, sampled,
+//! the cfd-exec engine — is `drive` with a different observer.
 //!
-//! The default policy yields nothing until [`KernelEvent::Halted`]: the
-//! event plumbing then costs two branch tests per cycle, which is what
-//! keeps the plain-`run` KIPS floor intact (`scripts/verify.sh` gates on
-//! it).
+//! Observers are plain host-side values outside the pipeline (pipe trace,
+//! post-mortem ring, telemetry, stage profiler, [`PauseAt`]), so a
+//! [`Checkpoint`](crate::Checkpoint) copies simulated state only.
 //!
-//! Stage wall-time attribution is a compile-time choice through
-//! [`StageClock`]: the null clock inlines to nothing; the profiling clock
-//! (`stage-profile` feature) reads one `Instant` per stage group exactly
-//! as the old dedicated profiled loop did.
+//! What an observer pays for is fixed at compile time by its three
+//! associated constants. The null observer asks for nothing: the per-cycle
+//! hooks compile away and each event site in the stages costs one `Option`
+//! test. That keeps the plain-`run` KIPS floor intact (`scripts/verify.sh`
+//! gates on it).
 
 use crate::core::{Core, CoreError};
 use crate::fault::InjectionRecord;
 use crate::host::ControlHost;
 use crate::pipeline::Pipeline;
+use crate::stage_profile::Stage;
+use crate::trace::{CycleSnap, PipeEvent};
 
-/// A structured event yielded by the kernel's step loop.
+/// Work the scheduler did in one cycle's issue stage.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SchedWork {
+    /// Ready-queue entries `issue` examined.
+    pub ready_checks: u64,
+    /// Wakeup-wheel events it drained.
+    pub wakeup_events: u64,
+    /// IQ entries a per-cycle polling scheduler would have scanned.
+    pub poll_equiv: u64,
+}
+
+/// An observation leaving the kernel.
 ///
-/// Events are *observations*, not control transfers: the kernel's state is
-/// whatever the last step left it as, and the caller resumes it by pumping
-/// again. `Halted` is terminal — pumping after it returns it again.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Events observe; they never change simulated state, so a run's
+/// [`RunReport`](crate::RunReport) is the same whoever watches it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelEvent {
-    /// At least [`YieldPolicy::retire_batch`] instructions retired since
-    /// the previous `RetireBatch` yield.
-    RetireBatch {
-        /// Cycle after which the batch threshold was crossed.
-        cycle: u64,
-        /// Total instructions retired so far.
-        retired: u64,
+    /// An instruction retired. `bq`, `vq` and `tq` are the committed
+    /// (architectural) queue occupancies right after it.
+    Retire {
+        /// The instruction's trip through the pipeline.
+        inst: PipeEvent,
+        /// Committed BQ occupancy.
+        bq: u64,
+        /// Committed VQ occupancy.
+        vq: u64,
+        /// Committed TQ occupancy.
+        tq: u64,
     },
+    /// A wrong-path instruction left the ROB in a recovery squash.
+    Squash(PipeEvent),
     /// A misprediction recovery squashed the pipeline.
     Recovery {
         /// Cycle the recovery ran.
@@ -56,113 +73,122 @@ pub enum KernelEvent {
         /// Instructions squashed (ROB + front pipe).
         squashed: u64,
     },
-    /// The armed fault injection fired.
-    FaultDetected {
-        /// Proof of injection: kind, cycle, and site.
-        record: InjectionRecord,
+    /// The armed fault fired.
+    FaultFired(InjectionRecord),
+    /// A cycle passed the guard gate: the pipeline as the previous cycle
+    /// left it, stamped with the cycle about to run.
+    Cycle(CycleSnap),
+    /// A stage group finished its share of the cycle. Only the scheduler's
+    /// lap reports work; the other stages' `sched` is zero.
+    StageLap {
+        /// The stage group.
+        stage: Stage,
+        /// The scheduler's work this cycle.
+        sched: SchedWork,
     },
-    /// [`YieldPolicy::heartbeat_interval`] cycles elapsed.
-    Heartbeat {
-        /// Current cycle.
-        cycle: u64,
-        /// Total instructions retired so far.
-        retired: u64,
-    },
-    /// `Halt` retired: the run is architecturally complete. Terminal.
-    Halted {
-        /// Final cycle count (the halting cycle is not counted).
-        cycle: u64,
-        /// Total instructions retired.
-        retired: u64,
-    },
+    /// `Halt` retired: the run is architecturally complete, and the
+    /// snapshot is the pipeline's final state. Delivered once.
+    Halted(CycleSnap),
 }
 
-/// What the kernel yields besides the terminal [`KernelEvent::Halted`].
+/// A consumer of [`KernelEvent`]s, driven by [`Core::drive`].
 ///
-/// The default is everything off: the pump then runs straight to halt and
-/// the per-cycle event overhead is two always-false branch tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct YieldPolicy {
-    /// Yield [`KernelEvent::RetireBatch`] each time this many instructions
-    /// have retired since the last batch yield (0 = off).
-    pub retire_batch: u64,
-    /// Yield [`KernelEvent::Recovery`] on every misprediction recovery.
-    pub on_recovery: bool,
-    /// Yield [`KernelEvent::FaultDetected`] when the armed fault fires.
-    pub on_fault: bool,
-    /// Yield [`KernelEvent::Heartbeat`] every this many cycles (0 = off).
-    pub heartbeat_interval: u64,
-}
+/// The constants choose which events the kernel builds at all; the
+/// defaults ask for none, and `()` is the null observer. `Halted` is
+/// always delivered. Pair observers with a tuple `(a, b)` (nest tuples
+/// for more); each half then also sees the kinds the other asked for and
+/// ignores what it does not read. `&mut O` observes on behalf of `O`.
+pub trait Observer {
+    /// Deliver [`KernelEvent::Retire`], `Squash`, `Recovery` and
+    /// `FaultFired`. The stages buffer them, and `drive` hands them over
+    /// at the end of each cycle.
+    const STAGE_EVENTS: bool = false;
+    /// Deliver a [`KernelEvent::Cycle`] snapshot at the start of every
+    /// cycle.
+    const CYCLES: bool = false;
+    /// Deliver a [`KernelEvent::StageLap`] after every stage group.
+    const LAPS: bool = false;
 
-impl YieldPolicy {
-    /// The silent policy: only [`KernelEvent::Halted`] is ever yielded.
-    pub fn silent() -> YieldPolicy {
-        YieldPolicy::default()
+    /// Receives one event.
+    #[inline]
+    fn observe(&mut self, _ev: &KernelEvent) {}
+
+    /// Asked at every cycle boundary, before the cycle runs; `true` makes
+    /// [`Core::drive`] return [`Stop::Paused`] there, `cycle` cycles and
+    /// `retired` retirements into the run.
+    #[inline]
+    fn pause(&mut self, _cycle: u64, _retired: u64) -> bool {
+        false
     }
 }
 
-// Stage indices for [`StageClock::lap`], matching
-// `stage_profile::STAGE_NAMES` order (frontend first, commit last) so the
-// profiling clock can index the profile arrays directly.
-pub(crate) const STAGE_FRONTEND: usize = 0;
-pub(crate) const STAGE_DISPATCH: usize = 1;
-pub(crate) const STAGE_SCHEDULER: usize = 2;
-pub(crate) const STAGE_LSQ: usize = 3;
-pub(crate) const STAGE_COMMIT: usize = 4;
+impl Observer for () {}
 
-/// Compile-time switch for per-stage wall-time attribution in the step
-/// loop. The null implementation inlines away; the profiling one reads an
-/// `Instant` per lap.
-pub(crate) trait StageClock {
-    /// Marks the start of a cycle's stage sequence.
+impl<O: Observer> Observer for &mut O {
+    const STAGE_EVENTS: bool = O::STAGE_EVENTS;
+    const CYCLES: bool = O::CYCLES;
+    const LAPS: bool = O::LAPS;
+
     #[inline]
-    fn start(&mut self) {}
-    /// Charges the time since the previous mark to `stage`.
-    #[inline]
-    fn lap(&mut self, _stage: usize) {}
-}
-
-/// The zero-cost clock for unprofiled runs.
-pub(crate) struct NullClock;
-
-impl StageClock for NullClock {}
-
-/// The profiling clock: one `Instant` read per stage group, accumulated
-/// into a [`StageProfile`](crate::stage_profile::StageProfile) exactly as
-/// the old dedicated profiled loop did.
-#[cfg(feature = "stage-profile")]
-pub(crate) struct ProfClock<'a> {
-    profile: &'a mut crate::stage_profile::StageProfile,
-    last: std::time::Instant,
-}
-
-#[cfg(feature = "stage-profile")]
-impl<'a> ProfClock<'a> {
-    pub(crate) fn new(profile: &'a mut crate::stage_profile::StageProfile) -> ProfClock<'a> {
-        ProfClock { profile, last: std::time::Instant::now() }
-    }
-}
-
-#[cfg(feature = "stage-profile")]
-impl StageClock for ProfClock<'_> {
-    #[inline]
-    fn start(&mut self) {
-        self.last = std::time::Instant::now();
+    fn observe(&mut self, ev: &KernelEvent) {
+        (**self).observe(ev);
     }
 
     #[inline]
-    fn lap(&mut self, stage: usize) {
-        let now = std::time::Instant::now();
-        self.profile.ns[stage] += u64::try_from((now - self.last).as_nanos()).unwrap_or(u64::MAX);
-        self.profile.calls[stage] += 1;
-        self.last = now;
+    fn pause(&mut self, cycle: u64, retired: u64) -> bool {
+        (**self).pause(cycle, retired)
     }
+}
+
+impl<A: Observer, B: Observer> Observer for (A, B) {
+    const STAGE_EVENTS: bool = A::STAGE_EVENTS || B::STAGE_EVENTS;
+    const CYCLES: bool = A::CYCLES || B::CYCLES;
+    const LAPS: bool = A::LAPS || B::LAPS;
+
+    #[inline]
+    fn observe(&mut self, ev: &KernelEvent) {
+        self.0.observe(ev);
+        self.1.observe(ev);
+    }
+
+    #[inline]
+    fn pause(&mut self, cycle: u64, retired: u64) -> bool {
+        self.0.pause(cycle, retired) | self.1.pause(cycle, retired)
+    }
+}
+
+/// Pauses [`Core::drive`] at the first cycle boundary that reaches a
+/// target.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PauseAt {
+    /// The core has run this many cycles.
+    Cycle(u64),
+    /// This many instructions have retired.
+    Retired(u64),
+}
+
+impl Observer for PauseAt {
+    #[inline]
+    fn pause(&mut self, cycle: u64, retired: u64) -> bool {
+        match *self {
+            PauseAt::Cycle(target) => cycle >= target,
+            PauseAt::Retired(target) => retired >= target,
+        }
+    }
+}
+
+/// Why [`Core::drive`] returned.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stop {
+    /// `Halt` retired; [`Core::run`](crate::Core::run) packages the report.
+    Halted,
+    /// The observer paused the core at a cycle boundary.
+    Paused,
 }
 
 impl Pipeline {
-    /// Per-cycle guards, in one place for every entry point: cycle limit,
-    /// the control host (budget/cancel/heartbeat), the retirement
-    /// watchdog, and the post-mortem snapshot ring.
+    /// Per-cycle guards, in one place: cycle limit, the control host
+    /// (budget/cancel/heartbeat) and the retirement watchdog.
     fn cycle_gate(&mut self, cycle_limit: u64) -> Result<(), CoreError> {
         if self.now >= cycle_limit {
             return Err(CoreError::CycleLimit(cycle_limit));
@@ -173,9 +199,6 @@ impl Pipeline {
         } else if self.now - self.last_retired.0 > self.cfg.watchdog_cycles {
             return Err(CoreError::Deadlock { cycle: self.now, state: self.dump_state() });
         }
-        if self.cfg.post_mortem_depth > 0 {
-            self.snap_ring.push(self.cycle_snap());
-        }
         Ok(())
     }
 
@@ -184,86 +207,74 @@ impl Pipeline {
     /// younger stages left at the end of the previous cycle. On the
     /// halting cycle, commit runs alone and the cycle is neither counted
     /// nor accounted (matching the architectural definition of `cycles`).
-    pub(crate) fn step_cycle<C: StageClock>(&mut self, cycle_limit: u64, clock: &mut C) -> Result<(), CoreError> {
+    fn step_cycle<O: Observer>(&mut self, cycle_limit: u64, obs: &mut O) -> Result<(), CoreError> {
         self.cycle_gate(cycle_limit)?;
+        if O::CYCLES {
+            obs.observe(&KernelEvent::Cycle(self.snap()));
+        }
         let retired_before = self.stats.retired;
-        clock.start();
+        let idle = SchedWork::default();
         self.commit()?;
-        clock.lap(STAGE_COMMIT);
+        lap(obs, Stage::Commit, idle);
         if self.halted {
             return Ok(());
         }
         self.complete();
-        clock.lap(STAGE_LSQ);
-        self.issue();
-        clock.lap(STAGE_SCHEDULER);
+        lap(obs, Stage::Lsq, idle);
+        let sched = self.issue();
+        lap(obs, Stage::Scheduler, sched);
         self.dispatch();
-        clock.lap(STAGE_DISPATCH);
+        lap(obs, Stage::Dispatch, idle);
         self.fetch()?;
-        clock.lap(STAGE_FRONTEND);
+        lap(obs, Stage::Frontend, idle);
         self.account_cycle(retired_before);
         self.now += 1;
-        // Periodic yields. With the default (silent) policy these are two
-        // always-false tests — the step loop's only event overhead.
-        if self.yield_policy.retire_batch > 0 {
-            self.retire_acc += self.stats.retired - retired_before;
-            if self.retire_acc >= self.yield_policy.retire_batch {
-                self.retire_acc = 0;
-                self.pending_events
-                    .push_back(KernelEvent::RetireBatch { cycle: self.now, retired: self.stats.retired });
-            }
-        }
-        if self.yield_policy.heartbeat_interval > 0 && self.now.is_multiple_of(self.yield_policy.heartbeat_interval) {
-            self.pending_events.push_back(KernelEvent::Heartbeat { cycle: self.now, retired: self.stats.retired });
-        }
         Ok(())
     }
+}
 
-    /// Steps until the next yield: drains pending events first, then runs
-    /// cycles until an event is produced or the pipeline halts.
-    pub(crate) fn pump<C: StageClock>(&mut self, cycle_limit: u64, clock: &mut C) -> Result<KernelEvent, CoreError> {
-        loop {
-            if let Some(ev) = self.pending_events.pop_front() {
-                return Ok(ev);
-            }
-            if self.halted {
-                return Ok(KernelEvent::Halted { cycle: self.now, retired: self.stats.retired });
-            }
-            self.step_cycle(cycle_limit, clock)?;
-        }
+#[inline]
+fn lap<O: Observer>(obs: &mut O, stage: Stage, sched: SchedWork) {
+    if O::LAPS {
+        obs.observe(&KernelEvent::StageLap { stage, sched });
     }
 }
 
 impl Core {
-    /// Arms the kernel's yield policy: [`Core::next_event`] returns the
-    /// selected [`KernelEvent`]s as the run progresses. The default policy
-    /// is silent (only `Halted`), which is also what keeps
-    /// [`Core::run`](crate::Core::run) at full speed.
-    #[must_use]
-    pub fn with_yield_policy(mut self, policy: YieldPolicy) -> Self {
-        self.p.yield_policy = policy;
-        self
-    }
-
-    /// Advances the kernel until it yields the next [`KernelEvent`] (per
-    /// the armed [`YieldPolicy`]) or halts. The kernel is resumable: call
-    /// again to continue from exactly where the last event was yielded.
-    /// After [`KernelEvent::Halted`], call [`Core::finish`] for the
-    /// [`RunReport`](crate::RunReport) — further `next_event` calls just
-    /// repeat `Halted`.
+    /// Steps the kernel until `Halt` retires or `obs` pauses it, handing
+    /// `obs` every event it asked for. Resumable: drive again to continue
+    /// from exactly where it paused; once halted, `drive` returns
+    /// [`Stop::Halted`] at once and [`Core::run`](crate::Core::run)
+    /// packages the report.
     ///
     /// # Errors
     ///
     /// The same [`CoreError`]s as [`Core::run`](crate::Core::run); the
     /// kernel is dead after an error.
-    pub fn next_event(&mut self, cycle_limit: u64) -> Result<KernelEvent, CoreError> {
-        self.p.pump(cycle_limit, &mut NullClock)
-    }
-
-    /// Finalizes counters and packages the [`RunReport`](crate::RunReport)
-    /// after the kernel halted (the event-driven twin of the tail of
-    /// [`Core::run`](crate::Core::run)).
-    pub fn finish(self) -> crate::stats::RunReport {
-        self.into_report()
+    pub fn drive<O: Observer>(&mut self, cycle_limit: u64, obs: &mut O) -> Result<Stop, CoreError> {
+        let p = &mut self.p;
+        if O::STAGE_EVENTS {
+            p.outbox.get_or_insert_with(Vec::new);
+        } else {
+            p.outbox = None;
+        }
+        loop {
+            if p.halted {
+                return Ok(Stop::Halted);
+            }
+            if obs.pause(p.now, p.stats.retired) {
+                return Ok(Stop::Paused);
+            }
+            let stepped = p.step_cycle(cycle_limit, obs);
+            if O::STAGE_EVENTS {
+                for ev in p.outbox.iter_mut().flat_map(|out| out.drain(..)) {
+                    obs.observe(&ev);
+                }
+            }
+            stepped?;
+            if p.halted {
+                obs.observe(&KernelEvent::Halted(p.snap()));
+            }
+        }
     }
 }

@@ -61,9 +61,9 @@ mod pipeline;
 mod rename;
 mod sampled;
 mod scheduler;
-#[cfg(feature = "stage-profile")]
 pub mod stage_profile;
 mod stats;
+mod telemetry;
 mod trace;
 
 pub use crate::core::{CancelToken, Core, CoreError};
@@ -71,15 +71,16 @@ pub use cfd_queues::{BqSnapshot, FetchBq, FetchTq, TqSnapshot};
 pub use checkpoint::{Checkpoint, CHECKPOINT_VERSION};
 pub use config::{BqMissPolicy, CheckpointPolicy, CoreConfig, PerfectMode};
 pub use fault::{FailureReport, FaultKind, FaultSite, FaultSpec, InjectionRecord};
-pub use host::{ControlHost, FaultHost, MemoryHost, TelemetryHost};
-pub use kernel::{KernelEvent, YieldPolicy};
+pub use host::{ControlHost, FaultHost, MemoryHost};
+pub use kernel::{KernelEvent, Observer, PauseAt, SchedWork, Stop};
 pub use rename::{join_taint, PhysReg, RenameState, Taint, VqRenamer, VqSnapshot};
 pub use sampled::{run_sampled, SampleConfig, SampledReport};
-#[cfg(feature = "stage-profile")]
-pub use stage_profile::{Stage, StageProfile, STAGE_COUNT, STAGE_NAMES};
+pub use stage_profile::{Stage, StageProfile, StageProfiler, STAGE_COUNT, STAGE_NAMES};
 pub use stats::{level_index, BranchStat, CoreStats, RunReport};
-pub use trace::{CycleSnap, PipeEvent, PipeTrace, SnapRing};
+pub use telemetry::Telemetry;
+pub use trace::{CycleSnap, PipeEvent, PipeTrace, SnapRing, SNAP_RING_DEPTH};
 
-// Observability vocabulary, re-exported so downstream crates can arm
-// telemetry and read CPI stacks without depending on cfd-obs directly.
+// Observability vocabulary, re-exported so downstream crates can build a
+// telemetry observer and read CPI stacks without depending on cfd-obs
+// directly.
 pub use cfd_obs::{CpiComponent, CpiStack, TelemetryConfig, TelemetryReport, CPI_COMPONENTS};

@@ -1,28 +1,27 @@
 //! Shared pipeline state and cross-stage plumbing.
 //!
 //! [`Pipeline`] owns every piece of simulated state — front end, rename,
-//! ROB, scheduler wheels, hierarchy, statistics, telemetry — and each stage
+//! ROB, scheduler wheels, hierarchy, statistics — and each stage
 //! module ([`frontend`](crate::frontend), [`dispatch`](crate::dispatch),
 //! [`scheduler`](crate::scheduler), [`lsq`](crate::lsq),
 //! [`commit`](crate::commit)) contributes an `impl Pipeline` block with its
 //! stage function plus that stage's private helpers. `core.rs` wraps the
-//! struct in the public [`Core`](crate::Core) API and owns only the
-//! cycle-step conductor.
+//! struct in the public [`Core`](crate::Core) API.
 //!
 //! What lives *here* is the state struct itself and everything more than
 //! one stage touches: the `DynInst` in-flight record, ROB indexing, the
-//! PRF-write wakeup hook, fault-site visiting, CPI-stack accounting and
-//! telemetry sampling, and the post-mortem renderers.
+//! PRF-write wakeup hook, fault-site visiting, CPI-stack accounting, the
+//! per-cycle snapshot, and the post-mortem renderer.
 
 use crate::cfd_queues::{BqSnapshot, FetchBq, FetchTq, TqSnapshot};
 use crate::config::CoreConfig;
 use crate::core::CoreError;
 use crate::fault::{FaultKind, FaultSite};
-use crate::host::{ControlPort, FaultHost, FaultPort, MemoryHost, MemoryPort, TelemetryHost, TelemetryPort};
-use crate::kernel::{KernelEvent, YieldPolicy};
+use crate::host::{ControlPort, FaultHost, FaultPort, MemoryHost, MemoryPort};
+use crate::kernel::KernelEvent;
 use crate::rename::{PhysReg, RenameState, Taint, VqRenamer};
 use crate::stats::CoreStats;
-use crate::trace::{CycleSnap, PipeEvent, PipeTrace, SnapRing};
+use crate::trace::{CycleSnap, PipeEvent};
 use cfd_energy::EventCounts;
 use cfd_isa::{Instr, Machine, MemImage, MemWidth, Program, QueueConfig};
 use cfd_mem::MemLevel;
@@ -181,6 +180,21 @@ impl DynInst {
     pub(crate) fn is_mem_op(&self) -> bool {
         matches!(self.instr, Instr::Load { .. } | Instr::Store { .. } | Instr::Prefetch { .. })
     }
+
+    /// The instruction's stage timestamps as it leaves the pipeline:
+    /// retired at `retire`, or squashed when `None`.
+    pub(crate) fn pipe_event(&self, retire: Option<u64>) -> PipeEvent {
+        PipeEvent {
+            seq: self.seq,
+            pc: self.pc,
+            instr: self.instr,
+            fetch: self.t_fetch,
+            dispatch: self.dispatched.then_some(self.t_dispatch),
+            issue: self.issued.then_some(self.t_issue),
+            complete: self.done.then_some(self.t_complete),
+            retire,
+        }
+    }
 }
 
 /// All simulated state, shared by the stage modules.
@@ -237,12 +251,9 @@ pub(crate) struct Pipeline {
     pub(crate) now: u64,
     pub(crate) next_seq: u64,
     pub(crate) next_rob_seq: u64,
-    /// Event tracing enabled (CFD_TRACE env var, cached).
-    pub(crate) trace: bool,
     pub(crate) halted: bool,
     pub(crate) stats: CoreStats,
     pub(crate) events: EventCounts,
-    pub(crate) pipe_trace: Option<PipeTrace>,
     /// Fault host: the deterministic injector, behind [`FaultHost`]; null
     /// unless armed (see [`crate::fault`]).
     pub(crate) fault: FaultPort,
@@ -250,37 +261,23 @@ pub(crate) struct Pipeline {
     /// [`ControlHost`](crate::host::ControlHost); polled once per cycle by
     /// the step loop.
     pub(crate) control: ControlPort,
-    /// Post-mortem snapshot ring (empty unless `post_mortem_depth > 0`).
-    pub(crate) snap_ring: SnapRing,
     /// Why fetch most recently failed to supply instructions: CPI-stack
     /// attribution for empty-ROB cycles outside misprediction refill.
     pub(crate) front_block: CpiComponent,
     /// A recovery squashed the ROB and the corrected path has not reached
     /// dispatch yet: empty-ROB cycles are misprediction penalty.
     pub(crate) refill_after_recovery: bool,
-    /// Telemetry host: registry/series/trace, behind [`TelemetryHost`];
-    /// null unless armed.
-    pub(crate) telem: TelemetryPort,
-    // Host-side scheduler-efficiency counters (never affect simulation).
-    /// Ready-queue entries examined by `issue` across the run.
-    pub(crate) sched_ready_checks: u64,
-    /// Wakeup-wheel events processed across the run.
-    pub(crate) sched_wakeup_events: u64,
-    /// IQ entries a per-cycle polling scheduler would have scanned
-    /// (`iq_count` summed over cycles): the baseline the event-driven
-    /// counters are compared against.
-    pub(crate) sched_poll_equiv: u64,
-    // Kernel stepping state (see [`crate::kernel`]). Lives on the pipeline
-    // rather than in a loop frame so a run is resumable mid-flight.
-    /// Which [`KernelEvent`]s the step loop yields (default: none).
-    pub(crate) yield_policy: YieldPolicy,
-    /// Events produced but not yet yielded to the driver.
-    pub(crate) pending_events: VecDeque<KernelEvent>,
-    /// Instructions retired since the last `RetireBatch` yield.
-    pub(crate) retire_acc: u64,
     /// Retirement-watchdog state: cycle and count of the last observed
-    /// forward progress.
+    /// forward progress. Lives on the pipeline rather than in a loop
+    /// frame so a run is resumable mid-flight.
     pub(crate) last_retired: (u64, u64),
+    /// The stages' retire/squash/recovery/fault events of the current
+    /// cycle, when the driving observer asked for them (`None` otherwise,
+    /// so an unobserved event site costs one test). [`Core::drive`]
+    /// drains it every cycle: it is empty between drives.
+    ///
+    /// [`Core::drive`]: crate::Core::drive
+    pub(crate) outbox: Option<Vec<KernelEvent>>,
 }
 
 impl Pipeline {
@@ -327,30 +324,21 @@ impl Pipeline {
             now: 0,
             next_seq: 0,
             next_rob_seq: 0,
-            trace: std::env::var_os("CFD_TRACE").is_some(),
             halted: false,
             stats: CoreStats::default(),
             events: EventCounts::default(),
-            pipe_trace: None,
             fault: FaultPort::unarmed(),
             control: ControlPort::disengaged(),
-            snap_ring: SnapRing::new(cfg.post_mortem_depth),
             front_block: CpiComponent::Frontend,
             refill_after_recovery: false,
-            telem: TelemetryPort::unarmed(),
-            sched_ready_checks: 0,
-            sched_wakeup_events: 0,
-            sched_poll_equiv: 0,
-            yield_policy: YieldPolicy::default(),
-            pending_events: VecDeque::new(),
-            retire_acc: 0,
             last_retired: (0, 0),
+            outbox: None,
             cfg,
         })
     }
 
     // ------------------------------------------------------------------
-    // CPI-stack accounting + telemetry sampling
+    // CPI-stack accounting
     // ------------------------------------------------------------------
 
     /// Attributes this cycle's `width` retire slots: one Base slot per
@@ -367,9 +355,6 @@ impl Pipeline {
         if idle > 0 {
             let cause = self.idle_cause();
             self.stats.cpi_slots[cause.index()] += idle;
-        }
-        if self.telem.armed() {
-            self.sample_telemetry(self.now + 1, false);
         }
     }
 
@@ -402,75 +387,31 @@ impl Pipeline {
         }
     }
 
-    /// Pushes one time-series row stamped `cycle` when due (or `force`d).
-    pub(crate) fn sample_telemetry(&mut self, cycle: u64, force: bool) {
-        if !self.telem.sample_due(cycle, force) {
-            return;
-        }
-        let (l1, l2, l3) = self.mem.cache_stats();
-        let bq = self.bq.length();
-        let vq = self.vq.length();
-        let tq = self.tq.length();
-        let rob = self.rob.len() as u64;
-        let mut row = vec![
-            cycle,
-            self.stats.retired,
-            self.stats.fetched,
-            self.stats.mispredictions,
-            self.stats.retired_branches,
-            rob,
-            self.iq_count as u64,
-            self.lsq_count as u64,
-            self.front_q.len() as u64,
-            bq,
-            vq,
-            tq,
-            l1.accesses,
-            l1.hits,
-            l2.accesses,
-            l2.hits,
-            l3.accesses,
-            l3.hits,
-        ];
-        row.extend_from_slice(&self.stats.cpi_slots);
-        self.telem.record_sample(cycle, row);
-        if self.telem.trace_enabled() {
-            self.telem.trace_counter(
-                "occupancy",
-                "pipe",
-                cycle,
-                vec![("bq", bq.into()), ("vq", vq.into()), ("tq", tq.into()), ("rob", rob.into())],
-            );
-        }
-    }
-
-    /// Final series row at end of run, skipped if sampling already landed
-    /// exactly there.
-    pub(crate) fn final_sample(&mut self) {
-        if self.telem.needs_final_sample(self.now) {
-            self.sample_telemetry(self.now, true);
-        }
-    }
-
     // ------------------------------------------------------------------
     // Shared plumbing
     // ------------------------------------------------------------------
 
-    /// One post-mortem ring entry for the current cycle.
-    pub(crate) fn cycle_snap(&self) -> CycleSnap {
+    /// The pipeline's occupancy and cumulative counters right now.
+    pub(crate) fn snap(&self) -> CycleSnap {
         CycleSnap {
             cycle: self.now,
             fetch_pc: self.fetch_pc,
             retired: self.stats.retired,
+            fetched: self.stats.fetched,
+            mispredictions: self.stats.mispredictions,
+            retired_branches: self.stats.retired_branches,
             rob: self.rob.len(),
             iq: self.iq_count,
             lsq: self.lsq_count,
             front_q: self.front_q.len(),
             bq_len: self.bq.length(),
+            vq_len: self.vq.length(),
             tq_len: self.tq.length(),
             tcr: self.tq.tcr,
             free_regs: self.rename.free_regs(),
             ckpt_free: self.checkpoints_free,
+            caches: self.mem.cache_stats(),
+            cpi_slots: self.stats.cpi_slots,
         }
     }
 
@@ -481,20 +422,10 @@ impl Pipeline {
             return None;
         }
         let fired = self.fault.visit(site, self.now);
-        if let Some(kind) = fired {
+        if fired.is_some() {
             self.stats.faults_injected += 1;
-            if self.telem.armed() {
-                self.telem.trace_instant(
-                    "fault",
-                    "fault",
-                    self.now,
-                    vec![("site", format!("{site:?}").into()), ("kind", format!("{kind:?}").into())],
-                );
-            }
-            if self.yield_policy.on_fault {
-                if let Some(record) = self.fault.fired_record() {
-                    self.pending_events.push_back(KernelEvent::FaultDetected { record });
-                }
+            if let (Some(out), Some(record)) = (&mut self.outbox, self.fault.fired_record()) {
+                out.push(KernelEvent::FaultFired(record));
             }
         }
         fired
@@ -530,25 +461,6 @@ impl Pipeline {
         let waiters = self.rename.take_waiters(p);
         if !waiters.is_empty() {
             self.wakeup_wheel.entry(ready_at).or_default().extend(waiters);
-        }
-    }
-
-    /// Records a finished (retired or squashed) instruction into the trace.
-    pub(crate) fn trace_record(&mut self, e: &DynInst, retired: Option<u64>) {
-        if let Some(t) = &mut self.pipe_trace {
-            if t.accepting() && e.seq < u64::MAX {
-                t.record(PipeEvent {
-                    seq: e.seq,
-                    pc: e.pc,
-                    disasm: e.instr.to_string(),
-                    fetch: e.t_fetch,
-                    dispatch: e.dispatched.then_some(e.t_dispatch),
-                    issue: e.issued.then_some(e.t_issue),
-                    complete: e.done.then_some(e.t_complete),
-                    retire: retired,
-                    squashed: retired.is_none(),
-                });
-            }
         }
     }
 

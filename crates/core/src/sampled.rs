@@ -27,9 +27,9 @@
 //! and enforces the error bound stated there.
 
 use crate::config::CoreConfig;
-use crate::core::CoreError;
+use crate::core::{Core, CoreError};
 use crate::host::{MemoryHost, MemoryPort};
-use crate::kernel::NullClock;
+use crate::kernel::PauseAt;
 use crate::pipeline::Pipeline;
 use cfd_isa::{Machine, MemImage, Program, QueueConfig, Reg, RetireEvent};
 use cfd_predictor::{predictor_by_name, BranchKind, Btb, BtbEntry, DirectionPredictor};
@@ -136,16 +136,6 @@ impl Pipeline {
             p.vq.retire_push();
         }
         Ok(p)
-    }
-
-    /// Steps the kernel until `target` instructions have retired (or the
-    /// pipeline halts), through the same single step loop as every other
-    /// entry point.
-    fn run_detail_until(&mut self, target: u64, cycle_limit: u64) -> Result<(), CoreError> {
-        while self.stats.retired < target && !self.halted {
-            self.step_cycle(cycle_limit, &mut NullClock)?;
-        }
-        Ok(())
     }
 }
 
@@ -269,14 +259,16 @@ pub fn run_sampled(
             break;
         }
         // Detailed slice from warm structures: warmup (discarded) then
-        // measurement.
+        // measurement, each driven until its retirement target (or halt).
         let mut p = Pipeline::from_machine(cfg.clone(), &m)?;
         warm.seed(&mut p);
         let slice_limit = p.now.saturating_add(cycle_limit);
-        p.run_detail_until(sample.warmup_instructions, slice_limit)?;
-        let (c0, r0) = (p.now, p.stats.retired);
+        let mut core = Core { p };
+        core.drive(slice_limit, &mut PauseAt::Retired(sample.warmup_instructions))?;
+        let (c0, r0) = (core.p.now, core.p.stats.retired);
         report.warmup_instructions += r0;
-        p.run_detail_until(sample.warmup_instructions + sample.detail_instructions, slice_limit)?;
+        core.drive(slice_limit, &mut PauseAt::Retired(sample.warmup_instructions + sample.detail_instructions))?;
+        let p = core.p;
         if p.stats.retired > r0 {
             report.measured_instructions += p.stats.retired - r0;
             report.measured_cycles += p.now - c0;

@@ -20,6 +20,7 @@
 
 use crate::fault::{FaultKind, FaultSite};
 use crate::host::MemoryHost;
+use crate::kernel::SchedWork;
 use crate::lsq::ForwardState;
 use crate::pipeline::{extract, Pipeline};
 use crate::rename::join_taint;
@@ -113,28 +114,33 @@ impl Pipeline {
         self.ready_list.insert(rob_seq);
     }
 
-    /// Moves every wakeup event due by now into the ready queue.
-    fn drain_wakeups(&mut self) {
+    /// Moves every wakeup event due by now into the ready queue; returns
+    /// how many it moved.
+    fn drain_wakeups(&mut self) -> u64 {
+        let mut drained = 0;
         while let Some(entry) = self.wakeup_wheel.first_entry() {
             if *entry.key() > self.now {
                 break;
             }
             let seqs = entry.remove();
+            drained += seqs.len() as u64;
             for rob_seq in seqs {
-                self.sched_wakeup_events += 1;
                 self.register_or_ready(rob_seq);
             }
         }
+        drained
     }
 
     // ------------------------------------------------------------------
     // Issue (select)
     // ------------------------------------------------------------------
 
-    pub(crate) fn issue(&mut self) {
-        self.drain_wakeups();
+    /// Selects and executes this cycle's instructions; returns the work
+    /// it took (host-side observability only, never fed back into timing).
+    pub(crate) fn issue(&mut self) -> SchedWork {
+        let wakeup_events = self.drain_wakeups();
         // What a polling scheduler would have scanned this cycle.
-        self.sched_poll_equiv += self.iq_count as u64;
+        let mut work = SchedWork { ready_checks: 0, wakeup_events, poll_equiv: self.iq_count as u64 };
         let mut issued = 0usize;
         let mut in_use = [0usize; 5];
         let limits = [
@@ -156,7 +162,7 @@ impl Pipeline {
             if issued >= self.cfg.issue_width {
                 break;
             }
-            self.sched_ready_checks += 1;
+            work.ready_checks += 1;
             // Liveness: recovery prunes `ready_list`, but a pruned-then-
             // reused ordinal or a lazily-dropped wheel entry can still
             // surface here. The checks below make such entries inert.
@@ -231,6 +237,7 @@ impl Pipeline {
         for seq in reregister {
             self.register_or_ready(seq);
         }
+        work
     }
 
     /// Computes the instruction at ROB index `i` and schedules its

@@ -1,21 +1,23 @@
-//! Host-side stage self-profiler (the `stage-profile` feature).
+//! Host-side stage self-profiler.
 //!
 //! Attributes host wall time and invocation counts to the five stage
-//! groups the step loop sequences every cycle. This replaces the old
-//! ad-hoc `CFD_PROF` env-var instrumentation with a typed API:
-//! [`Core::run_profiled`](crate::Core::run_profiled) returns a
-//! [`StageProfile`] next to the ordinary
-//! [`RunReport`](crate::RunReport), and the report is byte-identical to
-//! an unprofiled run — timing is observability only and never feeds
-//! back into simulated state.
+//! groups the step loop sequences every cycle. [`StageProfiler`] is an
+//! [`Observer`]: it reads the host clock at each cycle's start and at
+//! every [`KernelEvent::StageLap`], so the kernel itself never reads a
+//! clock and an unprofiled run pays nothing.
+//! [`Core::run_profiled`](crate::Core::run_profiled) returns its
+//! [`StageProfile`] next to the ordinary [`RunReport`](crate::RunReport),
+//! and the report is byte-identical to an unprofiled run — timing is
+//! observability only and never feeds back into simulated state.
 //!
 //! Shares are computed in **basis points** with largest-remainder
 //! rounding so they always sum to exactly 10 000 (100.00%) whenever any
 //! time was recorded — the invariant the `simperf --profile` CI gate
 //! asserts.
 
+use crate::kernel::{KernelEvent, Observer};
 use std::fmt::Write as _;
-use std::time::Duration;
+use std::time::Instant;
 
 /// Number of profiled stage buckets.
 pub const STAGE_COUNT: usize = 5;
@@ -63,13 +65,6 @@ pub struct StageProfile {
 }
 
 impl StageProfile {
-    /// Records one timed stage invocation.
-    pub fn lap(&mut self, stage: Stage, elapsed: Duration) {
-        let i = stage as usize;
-        self.ns[i] += u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-        self.calls[i] += 1;
-    }
-
     /// Folds `other` into `self` (per-bucket and counter sums).
     pub fn merge(&mut self, other: &StageProfile) {
         for i in 0..STAGE_COUNT {
@@ -152,6 +147,46 @@ impl StageProfile {
             self.sched_wakeup_events,
             self.sched_poll_equiv
         )
+    }
+}
+
+/// The stage profiler: an [`Observer`] filling a [`StageProfile`] from
+/// the host clock and the kernel's stage laps.
+#[derive(Debug, Clone)]
+pub struct StageProfiler {
+    /// The profile collected so far.
+    pub profile: StageProfile,
+    /// Host time of the previous cycle start or lap.
+    mark: Instant,
+}
+
+impl Default for StageProfiler {
+    fn default() -> StageProfiler {
+        StageProfiler { profile: StageProfile::default(), mark: Instant::now() }
+    }
+}
+
+impl Observer for StageProfiler {
+    const CYCLES: bool = true;
+    const LAPS: bool = true;
+
+    #[inline]
+    fn observe(&mut self, ev: &KernelEvent) {
+        match ev {
+            KernelEvent::Cycle(_) => self.mark = Instant::now(),
+            KernelEvent::StageLap { stage, sched } => {
+                let now = Instant::now();
+                let (p, i) = (&mut self.profile, *stage as usize);
+                p.ns[i] += u64::try_from((now - self.mark).as_nanos()).unwrap_or(u64::MAX);
+                p.calls[i] += 1;
+                p.sched_ready_checks += sched.ready_checks;
+                p.sched_wakeup_events += sched.wakeup_events;
+                p.sched_poll_equiv += sched.poll_equiv;
+                self.mark = now;
+            }
+            KernelEvent::Halted(snap) => self.profile.cycles = snap.cycle,
+            _ => {}
+        }
     }
 }
 

@@ -1,10 +1,9 @@
 //! Simulation statistics and the run report.
 
 use crate::fault::InjectionRecord;
-use crate::trace::PipeTrace;
 use cfd_energy::{EnergyBreakdown, EnergyModel, EventCounts};
 use cfd_mem::{CacheStats, MemLevel};
-use cfd_obs::{CpiStack, TelemetryReport, CPI_COMPONENTS};
+use cfd_obs::{CpiStack, CPI_COMPONENTS};
 use std::collections::BTreeMap;
 
 /// Per-static-branch statistics (retired instances only).
@@ -161,15 +160,10 @@ pub struct RunReport {
     pub mshr_histogram: Vec<u64>,
     /// Demand accesses serviced per level `[L1, L2, L3, MEM]`.
     pub level_counts: [u64; 4],
-    /// Pipeline trace, when enabled via `Core::with_pipe_trace`.
-    pub pipe_trace: Option<PipeTrace>,
     /// The injected fault that fired during this run, if any. A completed
     /// run with a fired injection means the fault was architecturally
     /// masked (the retirement oracle verified every instruction).
     pub injection: Option<InjectionRecord>,
-    /// Telemetry artifacts (registry, time series, trace), when enabled
-    /// via `Core::with_telemetry`.
-    pub telemetry: Option<TelemetryReport>,
 }
 
 impl RunReport {

@@ -1,29 +1,34 @@
-//! Per-instruction pipeline tracing (pipeview) and the post-mortem
-//! snapshot ring.
+//! Two observers of the kernel's event stream: per-instruction pipeline
+//! tracing (pipeview) and the post-mortem snapshot ring.
 //!
-//! When enabled, the core records each instruction's stage timestamps —
-//! fetch, dispatch, issue, completion, retirement (or squash) — and can
-//! render them as a classic pipeline diagram. Invaluable for seeing the
-//! CFD mechanism at work: `Branch_on_BQ` pops complete at dispatch (they
+//! [`PipeTrace`] keeps each instruction's stage timestamps — fetch,
+//! dispatch, issue, completion, retirement (or squash) — from the
+//! [`KernelEvent::Retire`]/[`KernelEvent::Squash`] events, and renders
+//! them as a classic pipeline diagram. Invaluable for seeing the CFD
+//! mechanism at work: `Branch_on_BQ` pops complete at dispatch (they
 //! resolved at fetch), while baseline branches crawl through the backend.
 //!
 //! [`SnapRing`] is the complementary whole-pipeline view: a fixed-size
-//! ring of per-cycle occupancy snapshots ([`CycleSnap`]), dumped when a
-//! run dies (deadlock watchdog, oracle mismatch) so the last moments
+//! ring of the per-cycle occupancy snapshots ([`CycleSnap`]), dumped when
+//! a run dies (deadlock watchdog, oracle mismatch) so the last moments
 //! before the failure are visible without re-running under a tracer.
 
+use crate::kernel::{KernelEvent, Observer};
+use cfd_isa::Instr;
+use cfd_mem::CacheStats;
+use cfd_obs::CPI_COMPONENTS;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 
-/// Stage timestamps for one traced instruction.
-#[derive(Debug, Clone)]
+/// Stage timestamps for one instruction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipeEvent {
     /// Fetch sequence number.
     pub seq: u64,
     /// PC.
     pub pc: u32,
-    /// Disassembled instruction.
-    pub disasm: String,
+    /// The instruction.
+    pub instr: Instr,
     /// Fetch cycle.
     pub fetch: u64,
     /// Dispatch (rename) cycle.
@@ -32,13 +37,12 @@ pub struct PipeEvent {
     pub issue: Option<u64>,
     /// Completion cycle.
     pub complete: Option<u64>,
-    /// Retirement cycle; `None` when squashed.
+    /// Retirement cycle; `None` when squashed on the wrong path.
     pub retire: Option<u64>,
-    /// Squashed on the wrong path.
-    pub squashed: bool,
 }
 
-/// A bounded pipeline trace.
+/// A bounded pipeline trace: an [`Observer`] keeping the first `limit`
+/// instructions to retire or be squashed.
 #[derive(Debug, Clone)]
 pub struct PipeTrace {
     events: Vec<PipeEvent>,
@@ -129,7 +133,7 @@ impl PipeTrace {
                     }
                 }
             }
-            if e.squashed {
+            if e.retire.is_none() {
                 // Mark the tail of a squashed instruction's row.
                 if let Some(last) = row.iter().rposition(|&b| b != b' ') {
                     if last + 1 < width {
@@ -142,7 +146,7 @@ impl PipeTrace {
                 "{:5} {:4} {:28} |{}|",
                 e.seq,
                 e.pc,
-                truncate(&e.disasm, 28),
+                truncate(&e.instr.to_string(), 28),
                 String::from_utf8_lossy(&row)
             );
         }
@@ -150,7 +154,17 @@ impl PipeTrace {
     }
 }
 
-/// One cycle's pipeline occupancy snapshot (post-mortem ring entry).
+impl Observer for PipeTrace {
+    const STAGE_EVENTS: bool = true;
+
+    fn observe(&mut self, ev: &KernelEvent) {
+        if let KernelEvent::Retire { inst, .. } | KernelEvent::Squash(inst) = ev {
+            self.record(*inst);
+        }
+    }
+}
+
+/// One cycle's pipeline occupancy snapshot ([`KernelEvent::Cycle`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CycleSnap {
     /// Cycle number.
@@ -159,6 +173,12 @@ pub struct CycleSnap {
     pub fetch_pc: u32,
     /// Instructions retired so far.
     pub retired: u64,
+    /// Instructions fetched so far.
+    pub fetched: u64,
+    /// Mispredictions so far.
+    pub mispredictions: u64,
+    /// Conditional branches retired so far.
+    pub retired_branches: u64,
     /// ROB occupancy.
     pub rob: usize,
     /// Issue-queue occupancy.
@@ -169,6 +189,8 @@ pub struct CycleSnap {
     pub front_q: usize,
     /// Fetch-resident BQ occupancy.
     pub bq_len: u64,
+    /// Rename-stage VQ occupancy.
+    pub vq_len: u64,
     /// Fetch-resident TQ occupancy.
     pub tq_len: u64,
     /// Current TCR value.
@@ -177,31 +199,27 @@ pub struct CycleSnap {
     pub free_regs: usize,
     /// Free checkpoints.
     pub ckpt_free: usize,
+    /// (L1D, L2, L3) cache statistics so far.
+    pub caches: (CacheStats, CacheStats, CacheStats),
+    /// CPI-stack retire slots so far, one per [`CpiComponent`](crate::CpiComponent).
+    pub cpi_slots: [u64; CPI_COMPONENTS],
 }
 
-/// A fixed-size ring buffer of per-cycle pipeline snapshots.
-///
-/// The core pushes one [`CycleSnap`] per simulated cycle when
-/// `CoreConfig::post_mortem_depth > 0`; on any failure the ring holds the
-/// last `depth` cycles for the post-mortem dump.
-#[derive(Debug, Clone)]
+/// Cycles a [`SnapRing`] keeps.
+pub const SNAP_RING_DEPTH: usize = 32;
+
+/// A ring of the last [`SNAP_RING_DEPTH`] per-cycle pipeline snapshots:
+/// an [`Observer`] whose contents, on a failure, are the post-mortem dump
+/// (see [`Core::run_diag`](crate::Core::run_diag)).
+#[derive(Debug, Clone, Default)]
 pub struct SnapRing {
     buf: VecDeque<CycleSnap>,
-    depth: usize,
 }
 
 impl SnapRing {
-    /// A ring keeping the most recent `depth` snapshots.
-    pub fn new(depth: usize) -> SnapRing {
-        SnapRing { buf: VecDeque::with_capacity(depth.min(4096)), depth }
-    }
-
     /// Appends a snapshot, evicting the oldest when full.
     pub fn push(&mut self, snap: CycleSnap) {
-        if self.depth == 0 {
-            return;
-        }
-        if self.buf.len() == self.depth {
+        if self.buf.len() == SNAP_RING_DEPTH {
             self.buf.pop_front();
         }
         self.buf.push_back(snap);
@@ -239,9 +257,19 @@ impl SnapRing {
             );
         }
         if self.buf.is_empty() {
-            out.push_str("(no snapshots; set post_mortem_depth > 0)\n");
+            out.push_str("(no snapshots)\n");
         }
         out
+    }
+}
+
+impl Observer for SnapRing {
+    const CYCLES: bool = true;
+
+    fn observe(&mut self, ev: &KernelEvent) {
+        if let KernelEvent::Cycle(snap) = ev {
+            self.push(*snap);
+        }
     }
 }
 
@@ -261,13 +289,12 @@ mod tests {
         PipeEvent {
             seq,
             pc: seq as u32,
-            disasm: format!("instr{seq}"),
+            instr: Instr::Nop,
             fetch,
             dispatch: Some(fetch + 8),
             issue: Some(fetch + 9),
             complete: Some(fetch + 10),
             retire: Some(fetch + 12),
-            squashed: false,
         }
     }
 
@@ -298,7 +325,6 @@ mod tests {
         let mut t = PipeTrace::new(4);
         let mut e = ev(0, 0);
         e.retire = None;
-        e.squashed = true;
         t.record(e);
         assert!(t.render().contains('x'));
     }
@@ -313,36 +339,35 @@ mod tests {
             cycle,
             fetch_pc: 7,
             retired: cycle * 2,
+            fetched: cycle * 3,
+            mispredictions: 0,
+            retired_branches: cycle / 2,
             rob: 10,
             iq: 3,
             lsq: 2,
             front_q: 4,
             bq_len: 1,
+            vq_len: 0,
             tq_len: 0,
             tcr: 0,
             free_regs: 100,
             ckpt_free: 8,
+            caches: Default::default(),
+            cpi_slots: [0; CPI_COMPONENTS],
         }
     }
 
     #[test]
     fn snap_ring_keeps_last_depth() {
-        let mut r = SnapRing::new(3);
-        for c in 0..10 {
+        let mut r = SnapRing::default();
+        assert!(r.render().contains("no snapshots"));
+        for c in 0..100 {
             r.push(snap(c));
         }
         let cycles: Vec<u64> = r.snaps().map(|s| s.cycle).collect();
-        assert_eq!(cycles, vec![7, 8, 9]);
+        assert_eq!(cycles, (100 - SNAP_RING_DEPTH as u64..100).collect::<Vec<_>>());
         let table = r.render();
         assert!(table.contains("fetch_pc"));
-        assert!(table.contains('9'));
-    }
-
-    #[test]
-    fn zero_depth_ring_stays_empty() {
-        let mut r = SnapRing::new(0);
-        r.push(snap(1));
-        assert_eq!(r.snaps().count(), 0);
-        assert!(r.render().contains("no snapshots"));
+        assert!(table.contains("99"));
     }
 }

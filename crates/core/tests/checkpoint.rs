@@ -6,9 +6,9 @@
 //! claim at every quarter point of every catalog workload (reduced scale;
 //! `experiments ckpt` repeats it at full benchmark scale), reject
 //! tampered checkpoints, and lockstep-compare architectural fingerprints
-//! between an uninterrupted core and a restored twin at every heartbeat.
+//! between an uninterrupted core and a restored twin every 250 cycles.
 
-use cfd_core::{Core, CoreConfig, CoreError, KernelEvent, YieldPolicy};
+use cfd_core::{Core, CoreConfig, CoreError, PauseAt, Stop};
 use cfd_workloads::{catalog, Scale, Variant};
 
 const LIMIT: u64 = 50_000_000;
@@ -39,12 +39,10 @@ fn quarter_point_roundtrips_match_uninterrupted() {
         assert!(cycles >= 4, "{}: too short to quarter", entry.name);
         for quarter in 1..=3u64 {
             let at = cycles * quarter / 4;
-            let mut core = Core::new(CoreConfig::default(), w.program.clone(), w.mem.clone())
-                .unwrap()
-                .with_yield_policy(YieldPolicy { heartbeat_interval: at, ..YieldPolicy::default() });
-            match core.next_event(LIMIT) {
-                Ok(KernelEvent::Heartbeat { cycle, .. }) => assert_eq!(cycle, at, "{}", entry.name),
-                other => panic!("{}: expected heartbeat at {at}, got {other:?}", entry.name),
+            let mut core = Core::new(CoreConfig::default(), w.program.clone(), w.mem.clone()).unwrap();
+            match core.drive(LIMIT, &mut PauseAt::Cycle(at)) {
+                Ok(Stop::Paused) => {}
+                other => panic!("{}: expected a pause at {at}, got {other:?}", entry.name),
             }
             let ckpt = core.checkpoint();
             assert_eq!(ckpt.cycle(), at);
@@ -68,10 +66,8 @@ fn quarter_point_roundtrips_match_uninterrupted() {
 fn corrupt_checkpoint_rejected() {
     let entry = &catalog()[0];
     let w = entry.build(Variant::Base, test_scale());
-    let mut core = Core::new(CoreConfig::default(), w.program.clone(), w.mem.clone())
-        .unwrap()
-        .with_yield_policy(YieldPolicy { heartbeat_interval: 500, ..YieldPolicy::default() });
-    core.next_event(LIMIT).unwrap();
+    let mut core = Core::new(CoreConfig::default(), w.program.clone(), w.mem.clone()).unwrap();
+    core.drive(LIMIT, &mut PauseAt::Cycle(500)).unwrap();
 
     let mut tampered = core.checkpoint();
     tampered.corrupt_state_for_test();
@@ -92,38 +88,35 @@ fn corrupt_checkpoint_rejected() {
 }
 
 /// Lockstep differential: an uninterrupted core and a checkpoint/restore
-/// twin report identical architectural fingerprints at every heartbeat,
-/// all the way to identical halts and byte-identical reports.
+/// twin, both paused every 250 cycles, report identical architectural
+/// fingerprints at every pause, all the way to identical halts and
+/// byte-identical reports.
 #[test]
-fn lockstep_fingerprints_match_every_heartbeat() {
+fn lockstep_fingerprints_match_every_pause() {
     let entry = &catalog()[0];
     let w = entry.build(Variant::Base, test_scale());
-    let policy = YieldPolicy { heartbeat_interval: 250, ..YieldPolicy::default() };
-    let new_core =
-        || Core::new(CoreConfig::default(), w.program.clone(), w.mem.clone()).unwrap().with_yield_policy(policy);
+    let new_core = || Core::new(CoreConfig::default(), w.program.clone(), w.mem.clone()).unwrap();
 
     let mut reference = new_core();
     let mut subject = new_core();
     // Round-trip the subject through a checkpoint mid-flight after a few
-    // heartbeats; the reference never stops.
+    // pauses; the reference is only ever paused.
     let mut beats = 0u64;
     loop {
-        let a = reference.next_event(LIMIT).unwrap();
-        let b = subject.next_event(LIMIT).unwrap();
-        assert_eq!(a, b, "event streams diverged");
-        assert_eq!(reference.fingerprint(), subject.fingerprint(), "fingerprints diverged at {a:?}");
-        match a {
-            KernelEvent::Halted { .. } => break,
-            KernelEvent::Heartbeat { .. } => {
-                beats += 1;
-                if beats == 3 {
-                    subject = Core::restore(subject.checkpoint()).unwrap();
-                    assert_eq!(reference.fingerprint(), subject.fingerprint(), "restore changed state");
-                }
-            }
-            _ => {}
+        let at = PauseAt::Cycle((beats + 1) * 250);
+        let a = reference.drive(LIMIT, &mut { at }).unwrap();
+        let b = subject.drive(LIMIT, &mut { at }).unwrap();
+        assert_eq!(a, b, "drives stopped differently");
+        assert_eq!(reference.fingerprint(), subject.fingerprint(), "fingerprints diverged at {at:?}");
+        if a == Stop::Halted {
+            break;
+        }
+        beats += 1;
+        if beats == 3 {
+            subject = Core::restore(subject.checkpoint()).unwrap();
+            assert_eq!(reference.fingerprint(), subject.fingerprint(), "restore changed state");
         }
     }
     assert!(beats >= 3, "workload too short for the mid-flight round-trip");
-    assert_eq!(repr(&reference.finish()), repr(&subject.finish()), "final reports diverged");
+    assert_eq!(repr(&reference.run(LIMIT).unwrap()), repr(&subject.run(LIMIT).unwrap()), "final reports diverged");
 }

@@ -4,7 +4,7 @@
 //! faults (see `cfd_core::fault`) must end masked, typed, or
 //! watchdog-tripped, never silently divergent.
 
-use cfd_core::{Core, CoreConfig, CoreError, FaultKind, FaultSpec};
+use cfd_core::{Core, CoreConfig, CoreError, FailureReport, FaultKind, FaultSpec, SNAP_RING_DEPTH};
 use cfd_isa::{Assembler, Machine, MemImage, MemWidth, Reg};
 
 fn r(i: usize) -> Reg {
@@ -252,16 +252,25 @@ fn cfd_fault_kernel() -> (cfd_isa::Program, MemImage) {
     (a.finish().unwrap(), mem)
 }
 
+/// The post-mortem ring's rows as `(cycle, row text)`, oldest first: the
+/// lines after the ring's column header.
+fn ring_rows(post_mortem: &str) -> Vec<(u64, &str)> {
+    let mut lines = post_mortem.lines().skip_while(|l| !l.trim_start().starts_with("cycle fetch_pc"));
+    assert!(lines.next().is_some(), "post-mortem has no ring table:\n{post_mortem}");
+    lines.map(|l| (l.split_whitespace().next().and_then(|c| c.parse().ok()).expect("cycle column"), l)).collect()
+}
+
 /// Runs the kernel with `fault` injected at its `nth` site visit and
 /// checks the contract. Returns the outcome for the caller to narrow.
-fn run_faulted(fault: FaultKind, nth: u64) -> Result<cfd_core::RunReport, CoreError> {
+fn run_faulted(fault: FaultKind, nth: u64) -> Result<cfd_core::RunReport, Box<FailureReport>> {
     let (program, mem) = cfd_fault_kernel();
     // Reference result of the *fault-free* program.
     let mut m = Machine::new(program.clone(), mem.clone());
     m.run_to_halt().unwrap();
     let want_retired = m.retired();
-    let cfg = CoreConfig { watchdog_cycles: 20_000, post_mortem_depth: 32, ..Default::default() };
-    let out = Core::new(cfg, program, mem).unwrap().with_fault(FaultSpec { kind: fault, nth }).run_diag(2_000_000);
+    let cfg = CoreConfig { watchdog_cycles: 20_000, ..Default::default() };
+    let out =
+        Core::new(cfg, program, mem).unwrap().with_fault(FaultSpec { kind: fault, nth }).run_diag(2_000_000, &mut ());
     match out {
         Ok(rep) => {
             // Completed runs must be architecturally identical to the
@@ -274,10 +283,19 @@ fn run_faulted(fault: FaultKind, nth: u64) -> Result<cfd_core::RunReport, CoreEr
         }
         Err(fail) => {
             // Detected: the report must carry the injection record and a
-            // usable post-mortem dump.
+            // usable post-mortem dump — the ring's last cycles, in order,
+            // up to the failure (a watchdog trip fails the gate of its
+            // cycle, before that cycle's snapshot is taken).
             assert!(fail.injection.is_some(), "spontaneous failure without a fired fault");
-            assert!(fail.post_mortem.contains("fetch_pc"), "post-mortem dump missing");
-            Err(fail.error)
+            let rows = ring_rows(&fail.post_mortem);
+            assert_eq!(rows.len(), SNAP_RING_DEPTH, "post-mortem ring not full:\n{fail}");
+            for pair in rows.windows(2) {
+                assert_eq!(pair[1].0, pair[0].0 + 1, "ring cycles not consecutive:\n{fail}");
+            }
+            if let CoreError::Deadlock { cycle, .. } = fail.error {
+                assert_eq!(rows[rows.len() - 1].0 + 1, cycle, "ring does not end at the watchdog trip:\n{fail}");
+            }
+            Err(fail)
         }
     }
 }
@@ -301,15 +319,20 @@ fn mem_delay_fault_is_masked() {
 fn bq_corrupt_fault_is_detected() {
     // A flipped predicate in the BQ steers a Branch_on_BQ down the wrong
     // arm; the retirement oracle must catch the divergence.
-    let err = run_faulted(FaultKind::BqCorrupt, 5).expect_err("must be detected");
-    assert!(matches!(err, CoreError::OracleMismatch { .. }), "got {err}");
+    let fail = run_faulted(FaultKind::BqCorrupt, 5).expect_err("must be detected");
+    assert!(matches!(fail.error, CoreError::OracleMismatch { .. }), "got {}", fail.error);
+    // The ring ends on the cycle the mismatching instruction tried to
+    // retire; its rows are pinned to the reference dump of this fault.
+    let rows = ring_rows(&fail.post_mortem);
+    assert_eq!(rows[0].1, "       489        3        318   124   54   18      37    68     1      0    58     8");
+    assert_eq!(rows[31].1, "       520       15        361     9    0    0      20    42     0     34   146     8");
 }
 
 #[test]
 fn bq_drop_fault_trips_the_watchdog() {
     // A dropped BQ entry never verifies its pop: commit stalls and the
     // bounded-latency watchdog must convert the hang into a report.
-    let err = run_faulted(FaultKind::BqDrop, 7).expect_err("must be detected");
+    let err = run_faulted(FaultKind::BqDrop, 7).expect_err("must be detected").error;
     assert!(matches!(err, CoreError::Deadlock { .. } | CoreError::OracleMismatch { .. }), "got {err}");
 }
 
@@ -317,7 +340,7 @@ fn bq_drop_fault_trips_the_watchdog() {
 fn tq_corrupt_fault_is_detected() {
     // A corrupted trip count makes Branch_on_TCR run the loop a wrong
     // number of times — an architectural divergence the oracle sees.
-    let err = run_faulted(FaultKind::TqCorrupt, 0).expect_err("must be detected");
+    let err = run_faulted(FaultKind::TqCorrupt, 0).expect_err("must be detected").error;
     assert!(matches!(err, CoreError::OracleMismatch { .. } | CoreError::Deadlock { .. }), "got {err}");
 }
 
@@ -329,7 +352,11 @@ fn vq_remap_corrupt_fault_never_diverges_silently() {
     // identical, so silence is impossible either way.
     match run_faulted(FaultKind::VqRemapCorrupt, 3) {
         Ok(rep) => assert!(rep.injection.is_some()),
-        Err(err) => assert!(matches!(err, CoreError::OracleMismatch { .. } | CoreError::Deadlock { .. }), "got {err}"),
+        Err(fail) => assert!(
+            matches!(fail.error, CoreError::OracleMismatch { .. } | CoreError::Deadlock { .. }),
+            "got {}",
+            fail.error
+        ),
     }
 }
 
@@ -340,7 +367,7 @@ fn same_fault_spec_is_deterministic() {
     let outcomes: Vec<String> = (0..2)
         .map(|_| match run_faulted(FaultKind::BqCorrupt, 5) {
             Ok(rep) => format!("ok cycles={} retired={}", rep.stats.cycles, rep.stats.retired),
-            Err(e) => format!("err {e}"),
+            Err(fail) => format!("err {fail}"),
         })
         .collect();
     assert_eq!(outcomes[0], outcomes[1]);

@@ -1,8 +1,9 @@
-//! Yield-based stepping kernel: the event stream must be a pure
-//! observation layer — same results as a monolithic run, resumable at
-//! every yield, with a terminal `Halted`.
+//! The stepping kernel's one way out, `Core::drive` and its observers:
+//! observation must be pure — same results as a plain run, resumable at
+//! every pause — with every event delivered exactly where the pipeline
+//! produced it and one terminal `Halted`.
 
-use cfd_core::{Core, CoreConfig, KernelEvent, YieldPolicy};
+use cfd_core::{Core, CoreConfig, KernelEvent, Observer, PauseAt, RunReport, Stop, STAGE_COUNT};
 use cfd_isa::{Assembler, MemImage, Program, Reg};
 
 const LIMIT: u64 = 10_000_000;
@@ -24,76 +25,122 @@ fn demo_program() -> Program {
     a.finish().unwrap()
 }
 
-fn new_core(policy: YieldPolicy) -> Core {
-    Core::new(CoreConfig::default(), demo_program(), MemImage::new()).unwrap().with_yield_policy(policy)
+fn new_core() -> Core {
+    Core::new(CoreConfig::default(), demo_program(), MemImage::new()).unwrap()
 }
 
-/// Driving the kernel event by event produces a report byte-identical to
-/// a monolithic `run`, whatever the yield cadence.
-#[test]
-fn event_stream_run_matches_plain_run() {
-    let plain = Core::new(CoreConfig::default(), demo_program(), MemImage::new()).unwrap().run(LIMIT).unwrap();
-    let policy = YieldPolicy { retire_batch: 512, on_recovery: true, on_fault: true, heartbeat_interval: 777 };
-    let mut core = new_core(policy);
-    let mut events = 0u64;
-    loop {
-        match core.next_event(LIMIT).unwrap() {
-            KernelEvent::Halted { cycle, retired } => {
-                assert_eq!(cycle, plain.stats.cycles);
-                assert_eq!(retired, plain.stats.retired);
-                break;
-            }
-            _ => events += 1,
-        }
-    }
-    assert!(events > 0, "policy yielded nothing before halt");
-    assert_eq!(format!("{:?}", core.finish()), format!("{plain:?}"));
+fn plain() -> RunReport {
+    new_core().run(LIMIT).unwrap()
 }
 
-/// Yield cadences honour the policy: retire batches are spaced by at
-/// least the batch size, heartbeats land exactly on interval multiples,
-/// and recoveries carry plausible coordinates.
-#[test]
-fn yield_cadence_follows_policy() {
-    let policy = YieldPolicy { retire_batch: 1000, on_recovery: true, on_fault: false, heartbeat_interval: 2000 };
-    let mut core = new_core(policy);
-    let (mut last_batch_retired, mut batches, mut beats, mut recoveries) = (0u64, 0u64, 0u64, 0u64);
-    loop {
-        match core.next_event(LIMIT).unwrap() {
-            KernelEvent::RetireBatch { retired, .. } => {
-                assert!(retired >= last_batch_retired + policy.retire_batch, "batch under threshold");
-                last_batch_retired = retired;
-                batches += 1;
-            }
-            KernelEvent::Heartbeat { cycle, .. } => {
-                assert_eq!(cycle % policy.heartbeat_interval, 0, "heartbeat off the interval grid");
-                beats += 1;
+/// Counts every event kind, checks the per-cycle stream is gapless, and
+/// pauses every `every` cycles (0 = never).
+#[derive(Default)]
+struct Tally {
+    every: u64,
+    next_pause: u64,
+    pauses: u64,
+    retired: u64,
+    squashed: u64,
+    recoveries: u64,
+    faults: u64,
+    cycles: u64,
+    last_cycle: Option<u64>,
+    laps: [u64; STAGE_COUNT],
+    halts: u64,
+}
+
+impl Observer for Tally {
+    const STAGE_EVENTS: bool = true;
+    const CYCLES: bool = true;
+    const LAPS: bool = true;
+
+    fn observe(&mut self, ev: &KernelEvent) {
+        match ev {
+            KernelEvent::Retire { .. } => self.retired += 1,
+            KernelEvent::Squash(inst) => {
+                assert!(inst.retire.is_none(), "a squashed instruction never retires");
+                self.squashed += 1;
             }
             KernelEvent::Recovery { squashed, .. } => {
-                assert!(squashed > 0, "recovery squashed nothing");
-                recoveries += 1;
+                assert!(*squashed > 0, "recovery squashed nothing");
+                self.recoveries += 1;
             }
-            KernelEvent::FaultDetected { .. } => panic!("no fault armed"),
-            KernelEvent::Halted { .. } => break,
+            KernelEvent::FaultFired(_) => self.faults += 1,
+            KernelEvent::Cycle(snap) => {
+                if let Some(last) = self.last_cycle {
+                    assert_eq!(snap.cycle, last + 1, "cycle snapshots skipped a cycle");
+                }
+                self.last_cycle = Some(snap.cycle);
+                self.cycles += 1;
+            }
+            KernelEvent::StageLap { stage, .. } => self.laps[*stage as usize] += 1,
+            KernelEvent::Halted(_) => self.halts += 1,
         }
     }
-    assert!(batches >= 5, "expected several retire batches, got {batches}");
-    assert!(beats >= 1, "expected at least one heartbeat, got {beats}");
-    assert!(recoveries >= 1, "data-dependent branch produced no recoveries");
+
+    fn pause(&mut self, cycle: u64, _retired: u64) -> bool {
+        if self.every == 0 || cycle < self.next_pause {
+            return false;
+        }
+        self.next_pause = cycle + self.every;
+        self.pauses += 1;
+        true
+    }
 }
 
-/// `Halted` is terminal and idempotent; `finish` packages the report.
+/// Driving the kernel with a full observer that keeps pausing produces a
+/// report byte-identical to a plain `run`, and the events account for
+/// exactly what the report counts.
 #[test]
-fn halted_repeats_after_completion() {
-    let mut core = new_core(YieldPolicy::silent());
-    let first = core.next_event(LIMIT).unwrap();
-    let KernelEvent::Halted { cycle, retired } = first else {
-        panic!("silent policy must go straight to Halted, got {first:?}");
-    };
+fn observed_paused_run_matches_plain_run() {
+    let plain = plain();
+    let mut core = new_core();
+    let mut tally = Tally { every: 777, next_pause: 777, ..Tally::default() };
+    while core.drive(LIMIT, &mut tally).unwrap() == Stop::Paused {}
+    let report = core.run(LIMIT).unwrap();
+    assert_eq!(format!("{report:?}"), format!("{plain:?}"));
+
+    let s = &plain.stats;
+    assert_eq!(tally.pauses, s.cycles / 777, "one pause per 777 cycles");
+    assert_eq!(tally.retired, s.retired);
+    assert_eq!(tally.recoveries, s.immediate_recoveries + s.retire_recoveries);
+    assert!(tally.recoveries >= 1, "data-dependent branch produced no recoveries");
+    assert!(tally.squashed >= tally.recoveries);
+    assert_eq!(tally.faults, 0, "no fault armed");
+    // Every gate pass yields a snapshot, the uncounted halting cycle too;
+    // commit is the halting cycle's only stage.
+    assert_eq!(tally.cycles, s.cycles + 1);
+    assert_eq!(tally.laps, [s.cycles, s.cycles, s.cycles, s.cycles, s.cycles + 1]);
+    assert_eq!(tally.halts, 1);
+}
+
+/// `PauseAt::Cycle` stops on the exact cycle boundary, and asking again
+/// there returns at once without stepping.
+#[test]
+fn pause_at_cycle_is_exact() {
+    let mut core = new_core();
+    assert_eq!(core.drive(LIMIT, &mut PauseAt::Cycle(1000)).unwrap(), Stop::Paused);
+    assert_eq!(core.checkpoint().cycle(), 1000);
+    let fingerprint = core.fingerprint();
+    assert_eq!(core.drive(LIMIT, &mut PauseAt::Cycle(1000)).unwrap(), Stop::Paused);
+    assert_eq!(core.fingerprint(), fingerprint, "a satisfied pause must not step");
+    assert_eq!(core.drive(LIMIT, &mut PauseAt::Retired(1)).unwrap(), Stop::Paused, "already retired some");
+    assert_eq!(format!("{:?}", core.run(LIMIT).unwrap()), format!("{:?}", plain()));
+}
+
+/// `Halted` is terminal: `drive` keeps returning it without stepping or
+/// re-delivering the event, and `run` packages the report.
+#[test]
+fn halted_is_terminal() {
+    let mut core = new_core();
+    assert_eq!(core.drive(LIMIT, &mut ()).unwrap(), Stop::Halted);
+    let fingerprint = core.fingerprint();
+    let mut tally = Tally::default();
     for _ in 0..3 {
-        assert_eq!(core.next_event(LIMIT).unwrap(), KernelEvent::Halted { cycle, retired });
+        assert_eq!(core.drive(LIMIT, &mut tally).unwrap(), Stop::Halted);
     }
-    let report = core.finish();
-    assert_eq!(report.stats.cycles, cycle);
-    assert_eq!(report.stats.retired, retired);
+    assert_eq!((tally.halts, tally.cycles), (0, 0), "nothing happens after the halt");
+    assert_eq!(core.fingerprint(), fingerprint);
+    assert_eq!(format!("{:?}", core.run(LIMIT).unwrap()), format!("{:?}", plain()));
 }

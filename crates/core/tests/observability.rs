@@ -2,13 +2,14 @@
 //!
 //! * CPI-stack exactness: components sum to `cycles × width` on every
 //!   catalog workload, base and CFD variants alike;
-//! * telemetry neutrality: arming telemetry changes no simulated number;
+//! * telemetry neutrality: a telemetry observer changes no simulated
+//!   number;
 //! * sampling determinism: two armed runs produce byte-identical CSV and
 //!   Perfetto JSON;
 //! * gauge high-water marks equal the retirement-sampled
 //!   `max_{bq,vq,tq}_occupancy` counters.
 
-use cfd_core::{Core, CoreConfig, RunReport, TelemetryConfig};
+use cfd_core::{Core, CoreConfig, RunReport, Telemetry, TelemetryConfig, TelemetryReport};
 use cfd_isa::{Assembler, MemImage, Reg};
 
 const CYCLE_LIMIT: u64 = 50_000_000;
@@ -42,13 +43,15 @@ fn cfd_kernel(n: i64) -> Assembler {
     a
 }
 
-fn run_with(telemetry: Option<TelemetryConfig>) -> RunReport {
-    let program = cfd_kernel(60).finish().unwrap();
-    let mut core = Core::new(CoreConfig::default(), program, MemImage::new()).unwrap();
-    if let Some(cfg) = telemetry {
-        core = core.with_telemetry(cfg);
-    }
-    core.run(CYCLE_LIMIT).unwrap()
+/// Runs `core` to completion under a telemetry observer.
+fn observed(mut core: Core, cfg: TelemetryConfig) -> (RunReport, TelemetryReport) {
+    let mut telemetry = Telemetry::new(cfg);
+    core.drive(CYCLE_LIMIT, &mut telemetry).unwrap();
+    (core.run(CYCLE_LIMIT).unwrap(), telemetry.report())
+}
+
+fn kernel_core() -> Core {
+    Core::new(CoreConfig::default(), cfd_kernel(60).finish().unwrap(), MemImage::new()).unwrap()
 }
 
 #[test]
@@ -81,22 +84,16 @@ fn cpi_stack_sums_exactly_on_catalog_workloads() {
 
 #[test]
 fn telemetry_is_neutral() {
-    let plain = run_with(None);
-    let armed = run_with(Some(TelemetryConfig::default()));
-    assert_eq!(plain.stats.cycles, armed.stats.cycles);
-    assert_eq!(plain.stats.retired, armed.stats.retired);
-    assert_eq!(plain.stats.mispredictions, armed.stats.mispredictions);
-    assert_eq!(plain.stats.cpi_slots, armed.stats.cpi_slots);
-    assert_eq!(plain.level_counts, armed.level_counts);
-    assert!(plain.telemetry.is_none());
-    assert!(armed.telemetry.is_some());
+    let plain = kernel_core().run(CYCLE_LIMIT).unwrap();
+    let (armed, _) = observed(kernel_core(), TelemetryConfig::default());
+    assert_eq!(format!("{plain:?}"), format!("{armed:?}"));
 }
 
 #[test]
 fn sampling_is_byte_deterministic() {
     let cfg = TelemetryConfig { sample_interval: 50, trace: true };
-    let a = run_with(Some(cfg)).telemetry.unwrap();
-    let b = run_with(Some(cfg)).telemetry.unwrap();
+    let (run, a) = observed(kernel_core(), cfg);
+    let (_, b) = observed(kernel_core(), cfg);
     assert!(!a.series.is_empty(), "interval 50 must produce samples");
     assert_eq!(a.series.to_csv(), b.series.to_csv());
     assert_eq!(a.trace.to_json(), b.trace.to_json());
@@ -104,15 +101,13 @@ fn sampling_is_byte_deterministic() {
     // The final row lands at end-of-run and carries the full retirement
     // count (halting-cycle retirements included).
     let last = a.series.rows.last().unwrap();
-    let run = run_with(None);
     assert_eq!(last[0], run.stats.cycles);
     assert_eq!(last[1], run.stats.retired);
 }
 
 #[test]
 fn gauge_high_water_matches_max_occupancy_stats() {
-    let report = run_with(Some(TelemetryConfig::default()));
-    let t = report.telemetry.as_ref().unwrap();
+    let (report, t) = observed(kernel_core(), TelemetryConfig::default());
     let gauge_max = |name: &str| t.registry.gauge(name).map(|g| g.max).unwrap_or(0);
     assert!(report.stats.max_bq_occupancy > 0, "kernel must occupy the BQ");
     assert_eq!(gauge_max("core.bq_occupancy"), report.stats.max_bq_occupancy);
@@ -137,13 +132,9 @@ fn trace_records_recoveries_on_mispredicting_kernel() {
     a.addi(i, i, 1);
     a.blt(i, n, "top");
     a.halt();
-    let report = Core::new(CoreConfig::default(), a.finish().unwrap(), MemImage::new())
-        .unwrap()
-        .with_telemetry(TelemetryConfig::default())
-        .run(CYCLE_LIMIT)
-        .unwrap();
+    let core = Core::new(CoreConfig::default(), a.finish().unwrap(), MemImage::new()).unwrap();
+    let (report, t) = observed(core, TelemetryConfig::default());
     assert!(report.stats.mispredictions > 0);
-    let t = report.telemetry.unwrap();
     let recoveries = t.trace.events().iter().filter(|e| e.name == "recovery").count() as u64;
     assert!(recoveries > 0, "mispredictions must leave recovery instants");
     assert_eq!(t.registry.counter("core.recoveries"), recoveries);

@@ -12,7 +12,7 @@ use crate::fingerprint::{Fingerprint, Hasher};
 use crate::json::Json;
 use crate::policy::timeout_panic;
 use cfd_core::{
-    BranchStat, CancelToken, Core, CoreConfig, CoreError, CoreStats, FaultKind, InjectionRecord, KernelEvent, RunReport,
+    BranchStat, CancelToken, Core, CoreConfig, CoreError, CoreStats, FaultKind, InjectionRecord, RunReport,
 };
 use cfd_energy::EventCounts;
 use cfd_mem::CacheStats;
@@ -228,12 +228,6 @@ fn take_injection(v: &Json) -> Option<Option<InjectionRecord>> {
 }
 
 /// Serializes a [`RunReport`] as a compact JSON document.
-///
-/// The pipeline trace and the telemetry artifacts are intentionally not
-/// represented: engine jobs never enable them (they are interactive
-/// debugging/observability aids, not campaign output — `experiments
-/// observe` runs the core directly), so both fields are always `None` on
-/// both sides.
 pub fn run_report_to_json(r: &RunReport) -> String {
     let mut out = String::with_capacity(4096);
     out.push_str("{\"stats\":");
@@ -266,9 +260,7 @@ pub fn run_report_from_json(v: &Json) -> Option<RunReport> {
         cache_stats: (take_cache_stats(l1)?, take_cache_stats(l2)?, take_cache_stats(l3)?),
         mshr_histogram: take_u64_array(v.get("mshr_histogram")?)?,
         level_counts: take_u64_array(v.get("level_counts")?)?.try_into().ok()?,
-        pipe_trace: None,
         injection: take_injection(v.get("injection")?)?,
-        telemetry: None,
     })
 }
 
@@ -311,28 +303,20 @@ impl CampaignJob for SimJob {
         self.execute_cancellable(&CancelToken::new())
     }
 
-    /// Drives the core's stepping kernel under the engine's cancellation
-    /// token, which the kernel polls once per simulated cycle: a run past
-    /// its cycle budget is killed cooperatively at exactly the first
-    /// over-budget cycle and classified as a timeout, identically at any
-    /// worker count. The engine consumes the kernel's event stream (rather
-    /// than a monolithic `run`) so supervision stays outside the core: the
-    /// default silent yield policy costs nothing, and the loop is the
-    /// natural seam for richer engine-side policies (e.g. heartbeat-driven
-    /// progress accounting) without touching cfd-core.
+    /// Runs the core under the engine's cancellation token, which the
+    /// kernel polls once per simulated cycle: a run past its cycle budget
+    /// is killed cooperatively at exactly the first over-budget cycle and
+    /// classified as a timeout, identically at any worker count.
     fn execute_cancellable(&self, cancel: &CancelToken) -> RunReport {
-        let mut core = Core::new(self.cfg.clone(), self.workload.program.clone(), self.workload.mem.clone())
+        let core = Core::new(self.cfg.clone(), self.workload.program.clone(), self.workload.mem.clone())
             .unwrap_or_else(|e| {
                 panic!("{} [{}] core construction failed: {e}", self.workload.name, self.workload.variant)
             })
             .with_cancellation(cancel.clone());
-        loop {
-            match core.next_event(self.cycle_limit) {
-                Ok(KernelEvent::Halted { .. }) => return core.finish(),
-                Ok(_) => continue,
-                Err(CoreError::Cancelled { budget: Some(b), .. }) => timeout_panic(b),
-                Err(e) => panic!("{} [{}] failed: {e}", self.workload.name, self.workload.variant),
-            }
+        match core.run(self.cycle_limit) {
+            Ok(report) => report,
+            Err(CoreError::Cancelled { budget: Some(b), .. }) => timeout_panic(b),
+            Err(e) => panic!("{} [{}] failed: {e}", self.workload.name, self.workload.variant),
         }
     }
 
@@ -492,13 +476,11 @@ mod tests {
             ),
             mshr_histogram: vec![5, 4, 3],
             level_counts: [7, 2, 1, 1],
-            pipe_trace: None,
             injection: Some(InjectionRecord {
                 kind: FaultKind::MemDelay(25),
                 cycle: 900,
                 site: FaultKind::MemDelay(25).site().name(),
             }),
-            telemetry: None,
         }
     }
 

@@ -39,7 +39,9 @@ mod chaos;
 pub use chaos::{run_exec_chaos, ChaosConfig, ChaosOutcome, ChaosReport};
 
 use cfd_analysis::{lint_program, LintConfig};
-use cfd_core::{Core, CoreConfig, CoreError, FaultKind, FaultSpec, TelemetryConfig, TelemetryReport};
+use cfd_core::{
+    Core, CoreConfig, CoreError, FaultKind, FaultSpec, Observer, Telemetry, TelemetryConfig, TelemetryReport,
+};
 use cfd_exec::{CampaignJob, Engine, Fingerprint, Hasher, Json};
 use cfd_isa::check::Rng;
 use cfd_workloads::{by_name, catalog, CatalogEntry, Scale, Variant, Workload};
@@ -416,43 +418,38 @@ fn variant_for(workload: &CatalogEntry, fault: FaultKind) -> Option<Variant> {
 
 /// Runs one trial and classifies it.
 pub fn run_trial(wl: &Workload, fault: FaultKind, nth: u64, cfg: &CampaignConfig) -> TrialOutcome {
-    run_trial_inner(wl, fault, nth, cfg, None).0
+    run_trial_observed(wl, fault, nth, cfg, &mut ())
 }
 
-/// Like [`run_trial`], but with the core's telemetry armed: the returned
-/// [`TelemetryReport`] carries the pipeline trace of the faulted run —
-/// the injection instant, every recovery, and the occupancy counter
-/// tracks — up to completion *or* the detected failure. `None` only when
-/// the core rejected its configuration before running.
+/// Like [`run_trial`], but with a telemetry observer on the core: the
+/// returned [`TelemetryReport`] carries the pipeline trace of the faulted
+/// run — the injection instant, every recovery, and the occupancy
+/// counter tracks — up to completion *or* the detected failure.
 pub fn run_trial_traced(
     wl: &Workload,
     fault: FaultKind,
     nth: u64,
     cfg: &CampaignConfig,
-) -> (TrialOutcome, Option<TelemetryReport>) {
-    run_trial_inner(wl, fault, nth, cfg, Some(TelemetryConfig::default()))
+) -> (TrialOutcome, TelemetryReport) {
+    let mut telemetry = Telemetry::new(TelemetryConfig::default());
+    let outcome = run_trial_observed(wl, fault, nth, cfg, &mut telemetry);
+    (outcome, telemetry.report())
 }
 
-fn run_trial_inner(
+fn run_trial_observed<O: Observer>(
     wl: &Workload,
     fault: FaultKind,
     nth: u64,
     cfg: &CampaignConfig,
-    telemetry: Option<TelemetryConfig>,
-) -> (TrialOutcome, Option<TelemetryReport>) {
+    obs: &mut O,
+) -> TrialOutcome {
     let reference = wl.dynamic_instructions().expect("catalog workloads run clean functionally");
-    let core_cfg = CoreConfig { watchdog_cycles: cfg.watchdog_cycles, post_mortem_depth: 0, ..Default::default() };
+    let core_cfg = CoreConfig { watchdog_cycles: cfg.watchdog_cycles, ..Default::default() };
     let spec = FaultSpec { kind: fault, nth };
-    let mut core =
+    let core =
         Core::new(core_cfg, wl.program.clone(), wl.mem.clone()).expect("default config is valid").with_fault(spec);
-    if let Some(tcfg) = telemetry {
-        core = core.with_telemetry(tcfg);
-    }
-    let out = core.run_diag(cfg.cycle_limit);
-    let captured: Option<TelemetryReport>;
-    let (verdict, injected_cycle, cycles, retired, detect_latency) = match out {
-        Ok(mut rep) => {
-            captured = rep.telemetry.take();
+    let (verdict, injected_cycle, cycles, retired, detect_latency) = match core.run_diag(cfg.cycle_limit, obs) {
+        Ok(rep) => {
             let injected = rep.injection.as_ref().map(|i| i.cycle);
             let verdict = match (&rep.injection, rep.stats.retired == reference) {
                 (None, _) => Verdict::NotReached,
@@ -461,8 +458,7 @@ fn run_trial_inner(
             };
             (verdict, injected, rep.stats.cycles, rep.stats.retired, None)
         }
-        Err(mut fail) => {
-            captured = fail.telemetry.take();
+        Err(fail) => {
             let injected = fail.injection.as_ref().map(|i| i.cycle);
             let (at, verdict) = match &fail.error {
                 CoreError::Deadlock { cycle, .. } => (Some(*cycle), Verdict::Detected("deadlock".to_string())),
@@ -484,7 +480,7 @@ fn run_trial_inner(
             (verdict, injected, 0, 0, latency)
         }
     };
-    let outcome = TrialOutcome {
+    TrialOutcome {
         workload: wl.name,
         variant: wl.variant,
         fault: fault.name(),
@@ -495,8 +491,7 @@ fn run_trial_inner(
         cycles,
         retired,
         detect_latency,
-    };
-    (outcome, captured)
+    }
 }
 
 /// One fault-injection trial as a campaign-engine job: the built
@@ -547,7 +542,7 @@ impl CampaignJob for TrialJob {
         let mut h = Hasher::new();
         h.section("workload", &self.workload.fingerprint_bytes());
         h.section("fault", format!("{:?} nth={}", self.fault, self.nth).as_bytes());
-        let core_cfg = CoreConfig { watchdog_cycles: self.watchdog_cycles, post_mortem_depth: 0, ..Default::default() };
+        let core_cfg = CoreConfig { watchdog_cycles: self.watchdog_cycles, ..Default::default() };
         h.section("config", core_cfg.stable_repr().as_bytes());
         h.section("limits", format!("cycle_limit={}", self.cycle_limit).as_bytes());
         h.finish()
@@ -783,8 +778,7 @@ mod tests {
         let cfg = smoke_cfg();
         let entry = by_name("soplex_ref_like").unwrap();
         let wl = entry.build(Variant::CfdPlus, Scale { n: cfg.scale_n, ..Scale::small() });
-        let (outcome, telemetry) = run_trial_traced(&wl, FaultKind::BqCorrupt, 4, &cfg);
-        let t = telemetry.expect("traced trial always arms telemetry");
+        let (outcome, t) = run_trial_traced(&wl, FaultKind::BqCorrupt, 4, &cfg);
         let injected = outcome.injected_cycle.expect("nth=4 BQ corruption fires");
         let faults: Vec<_> = t.trace.events().iter().filter(|e| e.name == "fault").collect();
         assert_eq!(faults.len(), 1, "exactly one injection instant");

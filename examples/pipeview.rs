@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release --example pipeview`
 
-use cfd::core::{Core, CoreConfig};
+use cfd::core::{Core, CoreConfig, PipeTrace};
 use cfd::workloads::{by_name, Scale, Variant};
 
 fn main() {
@@ -16,16 +16,14 @@ fn main() {
 
     for variant in [Variant::Base, Variant::Cfd] {
         let w = entry.build(variant, scale);
-        let rep = Core::new(CoreConfig::default(), w.program.clone(), w.mem.clone())
+        let mut trace = PipeTrace::new(4000);
+        Core::new(CoreConfig::default(), w.program.clone(), w.mem.clone())
             .unwrap()
-            .with_pipe_trace(4000)
-            .run(50_000_000)
+            .drive(50_000_000, &mut trace)
             .expect("run completes");
-        let trace = rep.pipe_trace.as_ref().expect("trace enabled");
         // Show a steady-state window (skip warmup).
-        let window: Vec<_> = trace.events().iter().skip(600).take(24).cloned().collect();
-        let mut sub = cfd::core::PipeTrace::new(window.len());
-        for e in window {
+        let mut sub = PipeTrace::new(24);
+        for &e in trace.events().iter().skip(600).take(24) {
             sub.record(e);
         }
         println!("================ {} [{variant}] ================", w.name);

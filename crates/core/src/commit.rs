@@ -5,7 +5,7 @@
 //! recovery rather than in the scheduler because its only side effects are
 //! commit-side: verdicts, checkpoint reclamation, and the squash walk.
 //! `recover_at` restores fetch-side queue snapshots, rewinds the predictor,
-//! prunes the scheduler's ready queue, and repairs the rename state by
+//! truncates the scheduler's ready queue, and repairs the rename state by
 //! walking squashed instructions youngest-first.
 
 use crate::core::CoreError;
@@ -299,25 +299,18 @@ impl Pipeline {
         }
         let max_rob_seq = self.rob.back().expect("recovery target survives").rob_seq;
         self.next_rob_seq = max_rob_seq + 1;
-        // Prune squashed ordinals from the ready queue. Wakeup/completion
+        // Truncate squashed ordinals off the ready queue. Wakeup/completion
         // wheels and PRF waiter lists are pruned lazily instead: a stale
         // ordinal there (even one later reused, since `next_rob_seq` resets)
         // only triggers a spurious liveness re-check — every issue and
         // completion re-validates against the live ROB entry.
-        self.ready_list.split_off(&(max_rob_seq + 1));
+        self.ready_list.truncate_after(max_rob_seq);
         self.store_list.retain(|&s| s <= max_rob_seq);
-        let (snap, pc, seq, instr, resolved_taken, psrc1, pred_meta) = {
-            let e = &self.rob[i];
-            (
-                e.snapshot.as_ref().expect("recovering instruction has a snapshot").clone(),
-                e.pc,
-                e.seq,
-                e.instr,
-                e.resolved_taken,
-                e.psrc1,
-                e.pred_meta.clone(),
-            )
-        };
+        // The snapshot and predictor metadata are read in place: the ROB
+        // borrow is disjoint from the state they restore.
+        let e = &self.rob[i];
+        let (pc, seq, instr, resolved_taken, psrc1) = (e.pc, e.seq, e.instr, e.resolved_taken, e.psrc1);
+        let snap = e.snapshot.as_deref().expect("recovering instruction has a snapshot");
         self.bq.recover(&snap.bq);
         self.tq.recover(&snap.tq);
         // The VQ renamer was already repaired by the squash walk (it is a
@@ -325,8 +318,8 @@ impl Pipeline {
         self.ras.restore(&snap.ras);
 
         // Predictor history rewinds to this branch and learns the outcome.
-        if let Some(meta) = pred_meta {
-            self.predictor.recover(Self::bpc(pc), resolved_taken.unwrap_or(false), &meta);
+        if let Some(meta) = &e.pred_meta {
+            self.predictor.recover(Self::bpc(pc), resolved_taken.unwrap_or(false), meta);
         }
 
         // Correct next PC.

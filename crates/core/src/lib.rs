@@ -65,6 +65,7 @@ pub mod stage_profile;
 mod stats;
 mod telemetry;
 mod trace;
+mod wheel;
 
 pub use crate::core::{CancelToken, Core, CoreError};
 pub use cfd_queues::{BqSnapshot, FetchBq, FetchTq, TqSnapshot};

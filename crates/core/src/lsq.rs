@@ -22,15 +22,17 @@ pub(crate) enum ForwardState {
 
 impl Pipeline {
     /// Whether the load at ROB index `i` may issue under conservative
-    /// disambiguation.
-    pub(crate) fn load_may_issue(&self, i: usize) -> bool {
-        let Instr::Load { offset, width, .. } = self.rob[i].instr else { return true };
+    /// disambiguation (anything but [`ForwardState::MustWait`]), and if
+    /// so where its value comes from. Issue hands the answer to execute,
+    /// so each issued load scans the store list once.
+    pub(crate) fn load_may_issue(&self, i: usize) -> ForwardState {
+        let Instr::Load { offset, width, .. } = self.rob[i].instr else { return ForwardState::Memory };
         let base = self.rob[i].psrc1.expect("load base renamed");
         if !self.rename.is_ready(base, self.now) {
-            return false;
+            return ForwardState::MustWait;
         }
         let addr = (self.rename.read(base) as u64).wrapping_add(offset as u64);
-        !matches!(self.forwarding_probe(i, addr, width), ForwardState::MustWait)
+        self.forwarding_probe(i, addr, width)
     }
 
     fn forwarding_probe(&self, load_idx: usize, addr: u64, width: MemWidth) -> ForwardState {
@@ -70,9 +72,5 @@ impl Pipeline {
             }
         }
         result
-    }
-
-    pub(crate) fn forwarding_source(&self, load_idx: usize, addr: u64, width: MemWidth) -> ForwardState {
-        self.forwarding_probe(load_idx, addr, width)
     }
 }

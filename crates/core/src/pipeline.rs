@@ -22,12 +22,13 @@ use crate::kernel::KernelEvent;
 use crate::rename::{PhysReg, RenameState, Taint, VqRenamer};
 use crate::stats::CoreStats;
 use crate::trace::{CycleSnap, PipeEvent};
+use crate::wheel::{ReadyList, Wheel};
 use cfd_energy::EventCounts;
 use cfd_isa::{Instr, Machine, MemImage, MemWidth, Program, QueueConfig};
 use cfd_mem::MemLevel;
 use cfd_obs::CpiComponent;
 use cfd_predictor::{predictor_by_name, Btb, ConfidenceEstimator, DirectionPredictor, PredMeta, Ras, RasSnapshot};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Recovery snapshot attached to instructions that can mispredict.
 /// (The VQ renamer is a rename-stage structure repaired by the squash walk,
@@ -233,13 +234,16 @@ pub(crate) struct Pipeline {
     /// computed, in age order (the scheduler's ready queue). Entries are
     /// re-validated at issue; stale ordinals (squashed or re-blocked by a
     /// corrupted remap) are dropped or re-registered there.
-    pub(crate) ready_list: BTreeSet<u64>,
+    pub(crate) ready_list: ReadyList,
     /// Wakeup wheel: cycle -> ROB ordinals whose blocking source becomes
     /// ready that cycle. Drained into `ready_list` at the head of `issue`.
-    pub(crate) wakeup_wheel: BTreeMap<u64, Vec<u64>>,
+    pub(crate) wakeup_wheel: Wheel,
     /// Completion wheel: cycle -> ROB ordinals of issued instructions whose
     /// `ready_at` lands there. Replaces an every-cycle `exec_list` rescan.
-    pub(crate) completion_wheel: BTreeMap<u64, Vec<u64>>,
+    pub(crate) completion_wheel: Wheel,
+    /// The scheduler's reusable scratch buffer: drained wakeups, then
+    /// re-registrations, then completions. Empty between stages.
+    pub(crate) sched_scratch: Vec<u64>,
     /// Sequence numbers of in-flight stores, in age order.
     pub(crate) store_list: VecDeque<u64>,
     pub(crate) iq_count: usize,
@@ -313,9 +317,10 @@ impl Pipeline {
             front_q: VecDeque::new(),
             rename: RenameState::new(cfg.prf_size),
             rob: VecDeque::new(),
-            ready_list: BTreeSet::new(),
-            wakeup_wheel: BTreeMap::new(),
-            completion_wheel: BTreeMap::new(),
+            ready_list: ReadyList::default(),
+            wakeup_wheel: Wheel::new(),
+            completion_wheel: Wheel::new(),
+            sched_scratch: Vec::new(),
             store_list: VecDeque::new(),
             iq_count: 0,
             lsq_count: 0,
@@ -458,22 +463,21 @@ impl Pipeline {
     /// through here so no registered consumer can miss its wakeup.
     pub(crate) fn prf_write(&mut self, p: PhysReg, value: i64, ready_at: u64, taint: Taint) {
         self.rename.write(p, value, ready_at, taint);
-        let waiters = self.rename.take_waiters(p);
-        if !waiters.is_empty() {
-            self.wakeup_wheel.entry(ready_at).or_default().extend(waiters);
+        let waiters = self.rename.drain_waiters(p);
+        if !waiters.as_slice().is_empty() {
+            self.wakeup_wheel.extend(ready_at, waiters);
         }
     }
 
-    /// One-line pipeline state summary for deadlock diagnostics.
+    /// One-line pipeline state summary for deadlock diagnostics:
+    /// occupancy, fetch and queue pointers, then the ROB head and the
+    /// front-pipe head (`none` when empty).
     pub(crate) fn dump_state(&self) -> String {
-        let head = self.rob.front().map(|e| {
-            format!(
-                "head seq={} pc={} `{}` disp={} issued={} done={} verified={} spec_pop={} bq_abs={:?}",
-                e.seq, e.pc, e.instr, e.dispatched, e.issued, e.done, e.verified, e.spec_pop, e.bq_abs
-            )
-        });
-        format!(
-            "rob={} iq={} lsq={} front_q={} fetch_pc={} fetch_halted={} resume_at={} diverged={:?}              bq[h={} t={} net={} pend={}] tq[h={} t={} tcr={}] vq[h={} t={}] free_regs={} | {:?}",
+        use std::fmt::Write as _;
+        let mut s = format!(
+            "rob={} iq={} lsq={} front_q={} fetch_pc={} fetch_halted={} resume_at={} diverged={:?} \
+             bq[h={} t={} net={} pend={} len={}] tq[h={} t={} tcr={}] vq[h={} t={} net={} pend={}] \
+             free_regs={} ckpt_free={}",
             self.rob.len(),
             self.iq_count,
             self.lsq_count,
@@ -486,21 +490,34 @@ impl Pipeline {
             self.bq.tail,
             self.bq.net_push_ctr,
             self.bq.pending_push_ctr,
+            self.bq.length(),
             self.tq.head,
             self.tq.tail,
             self.tq.tcr,
             self.vq.head,
             self.vq.tail,
-            self.rename.free_regs(),
-            head
-        ) + &format!(
-            " | front_head: {:?} vq_net={} vq_pend={} bq_len={} ckpt_free={}",
-            self.front_q.front().map(|e| format!("seq={} pc={} `{}` disp_at={}", e.seq, e.pc, e.instr, e.dispatch_at)),
             self.vq.net_ctr,
             self.vq.pending_ctr,
-            self.bq.length(),
+            self.rename.free_regs(),
             self.checkpoints_free
-        )
+        );
+        match self.rob.front() {
+            Some(e) => {
+                let _ = write!(
+                    s,
+                    " | head: seq={} pc={} `{}` disp={} issued={} done={} verified={} spec_pop={} bq_abs={:?}",
+                    e.seq, e.pc, e.instr, e.dispatched, e.issued, e.done, e.verified, e.spec_pop, e.bq_abs
+                );
+            }
+            None => s.push_str(" | head: none"),
+        }
+        match self.front_q.front() {
+            Some(e) => {
+                let _ = write!(s, " | front_head: seq={} pc={} `{}` disp_at={}", e.seq, e.pc, e.instr, e.dispatch_at);
+            }
+            None => s.push_str(" | front_head: none"),
+        }
+        s
     }
 }
 

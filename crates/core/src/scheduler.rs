@@ -3,12 +3,19 @@
 //!
 //! The scheduler never polls the IQ. Dispatch registers each backend
 //! instruction via [`Pipeline::register_or_ready`]: instructions with all
-//! sources computed go straight to `ready_list` (a `BTreeSet` of ROB
+//! sources computed go straight to `ready_list` (a sorted `Vec` of ROB
 //! ordinals, so iteration is oldest-first); the rest park either on a
 //! physical register's waiter list (value not computed yet) or on the
 //! `wakeup_wheel` bucket of the cycle the value arrives. Producer writes go
-//! through [`Pipeline::prf_write`], which drains waiter lists into the
-//! wheel, and `issue` drains due wheel buckets before selecting.
+//! through [`Pipeline::prf_write`], which drains waiter lists in place into
+//! the wheel, and `issue` drains due wheel buckets before selecting.
+//!
+//! Both wheels are [`Wheel`](crate::wheel::Wheel)s: a ring of reusable
+//! buckets indexed by `cycle & mask` over a fixed horizon, an ordered
+//! overflow past it, and a drained-up-to cursor so an entry pushed for a
+//! cycle already drained comes out at the next drain. With the ready list
+//! walked in place and one scratch buffer reused for drained wakeups,
+//! re-registrations and completions, the per-cycle path allocates nothing.
 //!
 //! Timing is identical to a per-cycle polling scheduler by construction:
 //! `issue` re-validates the full polling predicate (liveness + source
@@ -24,6 +31,7 @@ use crate::kernel::SchedWork;
 use crate::lsq::ForwardState;
 use crate::pipeline::{extract, Pipeline};
 use crate::rename::join_taint;
+use crate::wheel::Walk;
 use cfd_isa::{eval_alu, Instr, Src2};
 
 /// Function-unit class an instruction competes for at issue (the paper's
@@ -106,7 +114,7 @@ impl Pipeline {
                 if at == u64::MAX {
                     self.rename.add_waiter(p, rob_seq);
                 } else {
-                    self.wakeup_wheel.entry(at).or_default().push(rob_seq);
+                    self.wakeup_wheel.push(at, rob_seq);
                 }
                 return;
             }
@@ -115,19 +123,17 @@ impl Pipeline {
     }
 
     /// Moves every wakeup event due by now into the ready queue; returns
-    /// how many it moved.
+    /// how many it moved. Re-parking only ever schedules a later cycle, so
+    /// one drain sees every due event.
     fn drain_wakeups(&mut self) -> u64 {
-        let mut drained = 0;
-        while let Some(entry) = self.wakeup_wheel.first_entry() {
-            if *entry.key() > self.now {
-                break;
-            }
-            let seqs = entry.remove();
-            drained += seqs.len() as u64;
-            for rob_seq in seqs {
-                self.register_or_ready(rob_seq);
-            }
+        let mut due = std::mem::take(&mut self.sched_scratch);
+        self.wakeup_wheel.drain_due(self.now, &mut due);
+        for &rob_seq in &due {
+            self.register_or_ready(rob_seq);
         }
+        let drained = due.len() as u64;
+        due.clear();
+        self.sched_scratch = due;
         drained
     }
 
@@ -152,76 +158,72 @@ impl Pipeline {
         ];
         let now = self.now;
 
-        // Oldest-first select over the ready queue. The set is not mutated
-        // inside the loop (issue never triggers recovery), so a snapshot of
-        // the ordinals is safe; removals are applied after the scan.
-        let candidates: Vec<u64> = self.ready_list.iter().copied().collect();
-        let mut remove: Vec<u64> = Vec::new();
-        let mut reregister: Vec<u64> = Vec::new();
-        for seq in candidates {
+        // Oldest-first select, walking the ready queue in place. Nothing in
+        // the walk touches the queue (issue never triggers recovery), so it
+        // is taken out for the walk and put back; re-blocked candidates
+        // collect in the scratch buffer and re-register afterwards.
+        let mut ready = std::mem::take(&mut self.ready_list);
+        ready.walk(|seq| {
             if issued >= self.cfg.issue_width {
-                break;
+                return Walk::Stop;
             }
             work.ready_checks += 1;
-            // Liveness: recovery prunes `ready_list`, but a pruned-then-
-            // reused ordinal or a lazily-dropped wheel entry can still
-            // surface here. The checks below make such entries inert.
-            let Some(i) = self.rob_idx(seq) else {
-                remove.push(seq);
-                continue;
-            };
-            {
-                let e = &self.rob[i];
-                if !(e.dispatched && !e.issued && e.in_iq) {
-                    remove.push(seq);
-                    continue;
-                }
-                debug_assert!(e.needs_backend());
+            // Liveness: recovery truncates `ready_list`, but a
+            // truncated-then-reused ordinal or a lazily-dropped wheel entry
+            // can still surface here. The checks below make such entries
+            // inert.
+            let Some(i) = self.rob_idx(seq) else { return Walk::Remove };
+            let e = &self.rob[i];
+            if !(e.dispatched && !e.issued && e.in_iq) {
+                return Walk::Remove;
             }
+            debug_assert!(e.needs_backend());
             // Source readiness, re-validated with the polling predicate:
             // a register can become un-ready after this entry was enqueued
             // (fault injection can point an operand at a register that a
             // younger instruction re-allocates). Stores issue on address
             // readiness alone (split agen/data, like a real LSQ): the data
             // may arrive later and is checked at forwarding/retire time.
-            let e = &self.rob[i];
-            let is_store = matches!(e.instr, Instr::Store { .. });
+            let instr = e.instr;
+            let is_store = matches!(instr, Instr::Store { .. });
             let ready = e.psrc1.is_none_or(|p| self.rename.is_ready(p, now))
                 && (is_store || e.psrc2.is_none_or(|p| self.rename.is_ready(p, now)));
             if !ready {
-                remove.push(seq);
-                reregister.push(seq);
-                continue;
+                self.sched_scratch.push(seq);
+                return Walk::Remove;
             }
             // FU availability.
-            let class = fu_class(&e.instr);
-            let fu_ok = class.slot().is_none_or(|k| in_use[k] < limits[k]);
-            if !fu_ok {
-                continue; // stays in the ready queue for next cycle
+            let class = fu_class(&instr);
+            if class.slot().is_some_and(|k| in_use[k] >= limits[k]) {
+                return Walk::Keep; // stays in the ready queue for next cycle
             }
             // Loads: conservative disambiguation (all older stores have
             // computed addresses; exact-match forwarding; partial overlap
-            // waits for the store to drain).
-            if matches!(e.instr, Instr::Load { .. }) && !self.load_may_issue(i) {
-                continue;
-            }
+            // waits for the store to drain). The one store-list scan also
+            // decides forwarding at execute.
+            let forward = match instr {
+                Instr::Load { .. } => match self.load_may_issue(i) {
+                    ForwardState::MustWait => return Walk::Keep,
+                    f => f,
+                },
+                _ => ForwardState::Memory,
+            };
 
             // Issue.
             if let Some(k) = class.slot() {
                 in_use[k] += 1;
             }
-            if !self.execute_at(i) {
+            if !self.execute_at(i, forward) {
                 // Transient structural refusal (e.g. MSHRs full): retry.
                 if let Some(k) = class.slot() {
                     in_use[k] -= 1;
                 }
-                continue;
+                return Walk::Keep;
             }
             issued += 1;
             self.stats.issued += 1;
-            remove.push(seq);
             let ready_at = self.rob[i].ready_at;
-            self.completion_wheel.entry(ready_at).or_default().push(seq);
+            self.completion_wheel.push(ready_at, seq);
             if self.rob[i].on_wrong_path {
                 self.stats.wrong_path_issued += 1;
             }
@@ -230,20 +232,23 @@ impl Pipeline {
                 self.rob[i].in_iq = false;
                 self.iq_count -= 1;
             }
-        }
-        for seq in remove {
-            self.ready_list.remove(&seq);
-        }
-        for seq in reregister {
+            Walk::Remove
+        });
+        self.ready_list = ready;
+        let mut blocked = std::mem::take(&mut self.sched_scratch);
+        for &seq in &blocked {
             self.register_or_ready(seq);
         }
+        blocked.clear();
+        self.sched_scratch = blocked;
         work
     }
 
     /// Computes the instruction at ROB index `i` and schedules its
-    /// completion. Returns false when a structural resource (MSHR) refused
-    /// it this cycle.
-    fn execute_at(&mut self, i: usize) -> bool {
+    /// completion; a load takes the forwarding decision `forward` that
+    /// [`Pipeline::load_may_issue`] made. Returns false when a structural
+    /// resource (MSHR) refused it this cycle.
+    fn execute_at(&mut self, i: usize, forward: ForwardState) -> bool {
         let now = self.now;
         let (instr, pc, psrc1, psrc2) = {
             let e = &self.rob[i];
@@ -288,7 +293,7 @@ impl Pipeline {
                 let addr = (v1 as u64).wrapping_add(offset as u64);
                 self.events.lsq_ops += 1;
                 // Store-to-load forwarding.
-                match self.forwarding_source(i, addr, width) {
+                match forward {
                     ForwardState::Forward { data, taint } => {
                         self.stats.lsq_forwards += 1;
                         value = extract(data, width, signed);
@@ -383,19 +388,11 @@ impl Pipeline {
         // squashes younger ones). A bucket entry is only a *hint*: the
         // liveness check below drops ordinals that were squashed (and
         // possibly reused) after their instruction issued.
-        let mut completions: Vec<u64> = Vec::new();
-        while let Some(entry) = self.completion_wheel.first_entry() {
-            if *entry.key() > self.now {
-                break;
-            }
-            completions.extend(entry.remove());
-        }
-        if completions.is_empty() {
-            return;
-        }
-        completions.sort_unstable();
-        for k in 0..completions.len() {
-            let seq = completions[k];
+        let mut due = std::mem::take(&mut self.sched_scratch);
+        self.completion_wheel.drain_due(self.now, &mut due);
+        due.sort_unstable();
+        for k in 0..due.len() {
+            let seq = due[k];
             let Some(i) = self.rob_idx(seq) else { continue };
             if !(self.rob[i].issued && !self.rob[i].done && self.rob[i].ready_at <= self.now) {
                 continue;
@@ -428,11 +425,11 @@ impl Pipeline {
                 // pop) must be re-examined next cycle, exactly as the old
                 // exec_list kept unprocessed entries. Squashed ordinals in
                 // the requeued tail are dropped by the liveness check then.
-                if k + 1 < completions.len() {
-                    self.completion_wheel.entry(self.now + 1).or_default().extend(&completions[k + 1..]);
-                }
+                self.completion_wheel.extend(self.now + 1, due[k + 1..].iter().copied());
                 break;
             }
         }
+        due.clear();
+        self.sched_scratch = due;
     }
 }

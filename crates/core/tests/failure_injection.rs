@@ -71,9 +71,16 @@ fn tq_pop_without_push_is_detected() {
     let mut a = Assembler::new();
     a.pop_tq();
     a.halt();
-    let err = run(a).unwrap_err();
-    // TQ misses stall fetch forever when no push exists.
-    assert!(matches!(err, CoreError::Program(_) | CoreError::Deadlock { .. }), "got {err}");
+    // TQ misses stall fetch forever when no push exists: nothing is ever
+    // fetched, and the watchdog trips with a one-line state dump.
+    let CoreError::Deadlock { cycle, state } = run(a).unwrap_err() else { panic!("expected a watchdog trip") };
+    assert_eq!(cycle, CoreConfig::default().watchdog_cycles + 1);
+    assert_eq!(
+        state,
+        "rob=0 iq=0 lsq=0 front_q=0 fetch_pc=0 fetch_halted=false resume_at=0 diverged=None \
+         bq[h=0 t=0 net=0 pend=0 len=0] tq[h=0 t=0 tcr=0] vq[h=0 t=0 net=0 pend=0] \
+         free_regs=192 ckpt_free=8 | head: none | front_head: none"
+    );
 }
 
 #[test]

@@ -4,63 +4,52 @@
 //! (hundreds of bits) folded down to table-index width. We keep the history
 //! in a large circular bit buffer with an *insertion position* and maintain
 //! folded CSRs incrementally. Recovery from a misprediction restores the
-//! position and the folded registers from a per-branch [`HistorySnapshot`];
+//! position and the folded values from a per-branch [`HistorySnapshot`];
 //! the bits behind the restored position are still intact in the buffer
 //! (wrong-path bits ahead of it are overwritten before they can ever be
 //! read), so rewinding is O(#folds), not O(history length).
+//!
+//! A fold's shape (lengths and rotation) never changes after
+//! [`GlobalHistory::add_fold`], so it lives apart from the fold values and
+//! a snapshot carries only the values.
 
 /// Size of the circular history buffer in bits. Must exceed the longest
 /// history length plus the maximum number of in-flight branches.
 const BUF_BITS: usize = 4096;
+const BUF_WORDS: usize = BUF_BITS / 64;
 
-/// An incrementally folded view of the last `hist_len` history bits,
+/// The fixed shape of a folded view: the last `hist_len` history bits
 /// compressed to `out_bits` bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FoldedHistory {
-    value: u32,
+struct FoldShape {
     hist_len: u16,
     out_bits: u8,
     /// `hist_len % out_bits`, the rotation applied to the outgoing bit.
     out_pos: u8,
 }
 
-impl FoldedHistory {
-    /// An inert placeholder fold (used to pre-fill fixed-size arrays).
-    pub const fn empty() -> FoldedHistory {
-        FoldedHistory { value: 0, hist_len: 0, out_bits: 1, out_pos: 0 }
-    }
+impl FoldShape {
+    /// An inert placeholder (pre-fills the fixed-size array).
+    const EMPTY: FoldShape = FoldShape { hist_len: 0, out_bits: 1, out_pos: 0 };
 
-    /// Creates a folded view of `hist_len` bits compressed to `out_bits`.
-    pub fn new(hist_len: usize, out_bits: u32) -> FoldedHistory {
+    fn new(hist_len: usize, out_bits: u32) -> FoldShape {
         assert!(out_bits > 0 && out_bits <= 31);
         assert!(hist_len <= u16::MAX as usize);
-        FoldedHistory {
-            value: 0,
-            hist_len: hist_len as u16,
-            out_bits: out_bits as u8,
-            out_pos: (hist_len % out_bits as usize) as u8,
-        }
+        FoldShape { hist_len: hist_len as u16, out_bits: out_bits as u8, out_pos: (hist_len % out_bits as usize) as u8 }
     }
 
-    /// The current folded value.
+    /// The fold `value` after shifting in `new_bit` and shifting out
+    /// `old_bit` (the bit leaving the `hist_len` window).
     #[inline]
-    pub fn value(&self) -> u32 {
-        self.value
-    }
-
-    /// Shifts in `new_bit` and shifts out `old_bit` (the bit leaving the
-    /// `hist_len` window).
-    #[inline]
-    pub fn update(&mut self, new_bit: bool, old_bit: bool) {
+    fn update(self, value: u32, new_bit: u32, old_bit: u32) -> u32 {
         let mask = (1u32 << self.out_bits) - 1;
         // Rotate-insert the new bit.
-        self.value = (self.value << 1) | (new_bit as u32);
-        self.value ^= self.value >> self.out_bits;
-        self.value &= mask;
-        // Remove the outgoing bit at its rotated position.
-        self.value ^= (old_bit as u32) << self.out_pos;
-        // If the outgoing bit's position is at or above out_bits the xor-fold
-        // already cancelled it; out_pos < out_bits by construction.
+        let mut v = (value << 1) | new_bit;
+        v ^= v >> self.out_bits;
+        v &= mask;
+        // Remove the outgoing bit at its rotated position (out_pos <
+        // out_bits by construction, so the xor-fold has not touched it).
+        v ^ (old_bit << self.out_pos)
     }
 }
 
@@ -69,45 +58,49 @@ pub const MAX_FOLDS: usize = 48;
 
 /// Snapshot of the history state at a branch, for misprediction recovery.
 ///
-/// Fixed-size (no heap) because one is taken per predicted branch.
+/// Fixed-size (no heap) because one is taken per predicted branch; it
+/// holds the fold values only, not their shapes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistorySnapshot {
     pos: u64,
     phist: u32,
-    n_folds: u8,
-    folds: [FoldedHistory; MAX_FOLDS],
+    values: [u32; MAX_FOLDS],
 }
 
 /// The speculative global history: a circular bit buffer plus a set of
 /// registered folded views and a short path history.
 #[derive(Debug, Clone)]
 pub struct GlobalHistory {
-    buf: Vec<u64>,
+    buf: [u64; BUF_WORDS],
     /// Total bits ever inserted (insertion position).
     pos: u64,
     /// 16-bit path history (low bits of branch PCs).
     phist: u32,
     n_folds: usize,
-    folds: [FoldedHistory; MAX_FOLDS],
+    shapes: [FoldShape; MAX_FOLDS],
+    values: [u32; MAX_FOLDS],
 }
 
 impl GlobalHistory {
     /// Creates an empty history with no folded views.
     pub fn new() -> GlobalHistory {
         GlobalHistory {
-            buf: vec![0; BUF_BITS / 64],
+            buf: [0; BUF_WORDS],
             pos: 0,
             phist: 0,
             n_folds: 0,
-            folds: [FoldedHistory::empty(); MAX_FOLDS],
+            shapes: [FoldShape::EMPTY; MAX_FOLDS],
+            values: [0; MAX_FOLDS],
         }
     }
 
-    /// Registers a folded view; returns its handle for [`folded`](Self::folded).
+    /// Registers a folded view of the last `hist_len` bits compressed to
+    /// `out_bits`; returns its handle for [`folded`](Self::folded).
     pub fn add_fold(&mut self, hist_len: usize, out_bits: u32) -> usize {
         assert!(hist_len < BUF_BITS / 2, "history length too large for the buffer");
         assert!(self.n_folds < MAX_FOLDS, "too many folded views");
-        self.folds[self.n_folds] = FoldedHistory::new(hist_len, out_bits);
+        self.shapes[self.n_folds] = FoldShape::new(hist_len, out_bits);
+        self.values[self.n_folds] = 0;
         self.n_folds += 1;
         self.n_folds - 1
     }
@@ -115,7 +108,7 @@ impl GlobalHistory {
     /// The current value of a registered folded view.
     #[inline]
     pub fn folded(&self, handle: usize) -> u32 {
-        self.folds[handle].value()
+        self.values[handle]
     }
 
     /// The 16-bit path history.
@@ -124,31 +117,24 @@ impl GlobalHistory {
         self.phist
     }
 
+    /// The buffered bit at absolute position `abs` (as 0 or 1).
     #[inline]
-    fn bit(&self, abs: u64) -> bool {
-        let idx = (abs as usize) % BUF_BITS;
-        (self.buf[idx / 64] >> (idx % 64)) & 1 != 0
+    fn bit(&self, abs: u64) -> u64 {
+        let idx = abs as usize % BUF_BITS;
+        (self.buf[idx / 64] >> (idx % 64)) & 1
     }
 
     #[inline]
     fn set_bit(&mut self, abs: u64, v: bool) {
-        let idx = (abs as usize) % BUF_BITS;
+        let idx = abs as usize % BUF_BITS;
         let (w, b) = (idx / 64, idx % 64);
-        if v {
-            self.buf[w] |= 1 << b;
-        } else {
-            self.buf[w] &= !(1 << b);
-        }
+        self.buf[w] = (self.buf[w] & !(1 << b)) | ((v as u64) << b);
     }
 
     /// Raw history bit `n` positions back (0 = most recent).
     #[inline]
     pub fn recent(&self, n: usize) -> bool {
-        if (n as u64) < self.pos {
-            self.bit(self.pos - 1 - n as u64)
-        } else {
-            false
-        }
+        (n as u64) < self.pos && self.bit(self.pos - 1 - n as u64) != 0
     }
 
     /// Inserts a branch outcome (speculatively, at predict time).
@@ -156,33 +142,29 @@ impl GlobalHistory {
         let pos = self.pos;
         self.set_bit(pos, taken);
         self.pos += 1;
-        for f in self.folds[..self.n_folds].iter_mut() {
-            let old = if pos >= f.hist_len as u64 {
-                // This reads a bit strictly behind the insertion point, which
-                // survives any later rewind (see module docs).
-                self.buf[((pos - f.hist_len as u64) as usize % BUF_BITS) / 64]
-                    >> ((pos - f.hist_len as u64) as usize % BUF_BITS % 64)
-                    & 1
-                    != 0
-            } else {
-                false
-            };
-            f.update(taken, old);
+        let n = self.n_folds;
+        for (value, shape) in self.values[..n].iter_mut().zip(&self.shapes[..n]) {
+            // The outgoing bit sits `hist_len` behind the insertion point,
+            // which survives any later rewind (see module docs); before
+            // that many bits exist it is 0. Read branch-free: the wrapped
+            // position is in range, and the mask zeroes it when unborn.
+            let back = pos.wrapping_sub(shape.hist_len as u64);
+            let idx = back as usize % BUF_BITS;
+            let old = (self.buf[idx / 64] >> (idx % 64)) & (pos >= shape.hist_len as u64) as u64;
+            *value = shape.update(*value, taken as u32, old as u32);
         }
         self.phist = ((self.phist << 1) | ((pc >> 2) & 1) as u32) & 0xffff;
     }
 
     /// Captures the state for later recovery.
     pub fn snapshot(&self) -> HistorySnapshot {
-        HistorySnapshot { pos: self.pos, phist: self.phist, n_folds: self.n_folds as u8, folds: self.folds }
+        HistorySnapshot { pos: self.pos, phist: self.phist, values: self.values }
     }
 
     /// Restores a snapshot (the state *before* the mispredicted branch was
     /// inserted), then re-inserts the resolved outcome.
     pub fn recover(&mut self, snap: &HistorySnapshot, resolved_taken: bool, pc: u64) {
-        self.pos = snap.pos;
-        self.phist = snap.phist;
-        self.folds = snap.folds;
+        self.restore(snap);
         self.insert(resolved_taken, pc);
     }
 
@@ -191,7 +173,7 @@ impl GlobalHistory {
     pub fn restore(&mut self, snap: &HistorySnapshot) {
         self.pos = snap.pos;
         self.phist = snap.phist;
-        self.folds = snap.folds;
+        self.values = snap.values;
     }
 }
 

@@ -43,7 +43,7 @@ mod tage;
 pub use btb::{BranchKind, Btb, BtbEntry};
 pub use conf::ConfidenceEstimator;
 pub use corrector::{CorrectorMeta, StatisticalCorrector};
-pub use history::{FoldedHistory, GlobalHistory, HistorySnapshot};
+pub use history::{GlobalHistory, HistorySnapshot};
 pub use isl_tage::{IslTage, IslTageMeta};
 pub use loop_pred::{LoopMeta, LoopPredictor};
 pub use perceptron::{Perceptron, PerceptronMeta};

@@ -102,7 +102,7 @@ fn state_digest(p: &Pipeline) -> u64 {
     let mut h = Fnv::new();
     h.put(p.now);
     h.put(p.next_seq);
-    h.put(p.next_rob_seq);
+    h.put(p.win.mid());
     h.put(u64::from(p.fetch_pc));
     h.put(p.fetch_resume_at);
     h.put(u64::from(p.fetch_halted));
@@ -120,15 +120,15 @@ fn state_digest(p: &Pipeline) -> u64 {
     h.put(p.iq_count as u64);
     h.put(p.lsq_count as u64);
     h.put(p.checkpoints_free as u64);
-    h.put(p.front_q.len() as u64);
-    for d in &p.front_q {
+    h.put(p.win.front_len() as u64);
+    for d in p.win.front() {
         h.put(d.seq);
         h.put(u64::from(d.pc));
     }
-    h.put(p.rob.len() as u64);
-    for d in &p.rob {
+    h.put(p.win.rob_len() as u64);
+    for (rob_seq, d) in p.win.rob() {
         h.put(d.seq);
-        h.put(d.rob_seq);
+        h.put(rob_seq);
         h.put(u64::from(d.pc));
         h.put(u64::from(d.done) | u64::from(d.issued) << 1 | u64::from(d.verified) << 2);
     }

@@ -6,13 +6,14 @@
 //! commit-side: verdicts, checkpoint reclamation, and the squash walk.
 //! `recover_at` restores fetch-side queue snapshots, rewinds the predictor,
 //! truncates the scheduler's ready queue, and repairs the rename state by
-//! walking squashed instructions youngest-first.
+//! walking squashed instructions youngest-first, in their window slots,
+//! before truncating the window.
 
 use crate::core::CoreError;
 use crate::fault::{FaultKind, FaultSite};
 use crate::host::{FaultHost, MemoryHost};
 use crate::kernel::KernelEvent;
-use crate::pipeline::{DynInst, Pipeline};
+use crate::pipeline::Pipeline;
 use crate::rename::join_taint;
 use crate::stats::level_index;
 use cfd_isa::{eval_branch, Instr, NullSink};
@@ -20,7 +21,7 @@ use cfd_isa::{eval_branch, Instr, NullSink};
 impl Pipeline {
     pub(crate) fn commit(&mut self) -> Result<(), CoreError> {
         for _ in 0..self.cfg.width {
-            let Some(head) = self.rob.front() else { return Ok(()) };
+            let Some(head) = self.win.rob_head() else { return Ok(()) };
             if !head.dispatched || !head.done || !head.verified {
                 return Ok(());
             }
@@ -29,7 +30,10 @@ impl Pipeline {
                 self.stats.retire_recoveries += 1;
                 self.recover_at(0);
             }
-            let mut e = self.rob.pop_front().expect("head exists");
+            // Retire the head in place: its slot stays intact until a
+            // later fetch reuses it.
+            let rob_seq = self.win.retire();
+            let e = self.win.at(rob_seq);
 
             // Oracle cross-check: the retired stream must match functional
             // execution exactly.
@@ -95,7 +99,7 @@ impl Pipeline {
                     if let Some(addr) = e.eff_addr {
                         self.mem.data_access(e.pc as u64 * 4, addr, true, self.now);
                     }
-                    debug_assert_eq!(self.store_list.front(), Some(&e.rob_seq));
+                    debug_assert_eq!(self.store_list.front(), Some(&rob_seq));
                     self.store_list.pop_front();
                 }
                 Instr::Halt => {
@@ -104,12 +108,12 @@ impl Pipeline {
                 _ => {}
             }
 
-            // Branch bookkeeping + predictor training.
-            if e.fetch_taken.is_some() || matches!(e.instr, Instr::Jr { .. }) {
-                self.retire_branch(&mut e);
-            }
             if e.has_checkpoint {
                 self.checkpoints_free += 1;
+            }
+            // Branch bookkeeping + predictor training.
+            if e.fetch_taken.is_some() || matches!(e.instr, Instr::Jr { .. }) {
+                self.retire_branch(rob_seq);
             }
             if self.halted {
                 return Ok(());
@@ -118,7 +122,8 @@ impl Pipeline {
         Ok(())
     }
 
-    fn retire_branch(&mut self, e: &mut DynInst) {
+    fn retire_branch(&mut self, rob_seq: u64) {
+        let e = self.win.at(rob_seq);
         let taken = e.resolved_taken.or(e.fetch_taken).unwrap_or(false);
         if e.instr.is_conditional() {
             self.stats.retired_branches += 1;
@@ -133,7 +138,7 @@ impl Pipeline {
             stat.mispredicted_by_level[level_index(e.taint)] += 1;
             self.stats.mispredictions += 1;
         }
-        if let Some(meta) = &e.pred_meta {
+        if let Some(meta) = self.win.meta(rob_seq) {
             self.predictor.train(Self::bpc(e.pc), taken, meta);
             self.events.bpred_ops += 1;
         }
@@ -145,7 +150,7 @@ impl Pipeline {
     /// Resolves a plain branch or indirect jump at ROB index `i`. Returns
     /// true if an immediate recovery truncated the ROB.
     pub(crate) fn resolve_branch(&mut self, i: usize) -> bool {
-        let e = &self.rob[i];
+        let e = &self.win[i];
         let (actual_taken, actual_target) = match e.instr {
             Instr::Branch { cond, target, .. } => {
                 let a = self.rename.read(e.psrc1.expect("branch src1"));
@@ -179,12 +184,12 @@ impl Pipeline {
         };
         let idx = i;
         {
-            let e = &mut self.rob[idx];
+            let e = &mut self.win[idx];
             e.resolved_taken = Some(actual_taken);
             e.taint = taint;
         }
         if mispredicted {
-            self.rob[idx].mispredict = true;
+            self.win[idx].mispredict = true;
             let truncated = self.begin_recovery(idx);
             // OoO checkpoint reclamation: the checkpoint was consumed by the
             // recovery (or was never held); release it now, not at retire.
@@ -200,8 +205,8 @@ impl Pipeline {
 
     /// Frees the checkpoint held by the ROB entry at `idx`, if any.
     pub(crate) fn release_checkpoint(&mut self, idx: usize) {
-        if self.rob[idx].has_checkpoint {
-            self.rob[idx].has_checkpoint = false;
+        if self.win[idx].has_checkpoint {
+            self.win[idx].has_checkpoint = false;
             self.checkpoints_free += 1;
         }
     }
@@ -209,7 +214,7 @@ impl Pipeline {
     /// Executes a `Push_BQ` at ROB index `i`; handles late-push
     /// verification. Returns true if recovery truncated the ROB.
     pub(crate) fn execute_push_bq(&mut self, i: usize) -> bool {
-        let e = &self.rob[i];
+        let e = &self.win[i];
         let abs = e.bq_abs.expect("bq push has index");
         let src = e.psrc1.expect("bq push has source");
         let mut predicate = self.rename.read(src) != 0;
@@ -227,11 +232,11 @@ impl Pipeline {
             return false;
         };
         // Late push: find the speculative pop and verify it.
-        let Some(pop_idx) = self.rob.iter().position(|x| x.seq == pop_seq) else {
+        let Some(pop_idx) = self.win.rob().position(|(_, x)| x.seq == pop_seq) else {
             return false; // the pop was squashed
         };
         {
-            let pop = &mut self.rob[pop_idx];
+            let pop = &mut self.win[pop_idx];
             pop.verified = true;
             pop.taint = taint;
         }
@@ -240,7 +245,7 @@ impl Pipeline {
             return false;
         }
         let actual_taken = !predicate;
-        let taken_target = match self.rob[pop_idx].instr {
+        let taken_target = match self.win[pop_idx].instr {
             Instr::BranchOnBq { target } => target,
             _ => unreachable!("spec pop is a Branch_on_BQ"),
         };
@@ -248,15 +253,15 @@ impl Pipeline {
         // wrong but both directions continue at the same PC, so the fetched
         // path is already correct — no squash, and the fetch oracle (which
         // never diverged) must not be rewound.
-        if taken_target == self.rob[pop_idx].pc + 1 {
-            self.rob[pop_idx].resolved_taken = Some(actual_taken);
+        if taken_target == self.win[pop_idx].pc + 1 {
+            self.win[pop_idx].resolved_taken = Some(actual_taken);
             self.release_checkpoint(pop_idx);
             return false;
         }
         // Speculation failed: the pop's direction flips (taken = !predicate).
         self.stats.bq_spec_recoveries += 1;
-        self.rob[pop_idx].mispredict = true;
-        self.rob[pop_idx].resolved_taken = Some(actual_taken);
+        self.win[pop_idx].mispredict = true;
+        self.win[pop_idx].resolved_taken = Some(actual_taken);
         let truncated = self.begin_recovery(pop_idx);
         self.release_checkpoint(pop_idx);
         truncated
@@ -269,13 +274,13 @@ impl Pipeline {
         if self.fault_has_fired() {
             self.stats.post_fault_recoveries += 1;
         }
-        if self.rob[i].has_checkpoint {
+        if self.win[i].has_checkpoint {
             self.stats.immediate_recoveries += 1;
             self.events.checkpoint_ops += 1;
             self.recover_at(i);
             true
         } else {
-            self.rob[i].recover_at_retire = true;
+            self.win[i].recover_at_retire = true;
             false
         }
     }
@@ -283,34 +288,30 @@ impl Pipeline {
     /// Squashes everything younger than ROB index `i` and restores front-end
     /// state from its snapshot; fetch resumes at the corrected target.
     pub(crate) fn recover_at(&mut self, i: usize) {
-        let squashed = (self.rob.len() - (i + 1)) as u64 + self.front_q.len() as u64;
+        let rob_seq = self.win.ordinal(i);
+        let squashed = self.win.tail() - (rob_seq + 1);
         // Squash the front pipe entirely (younger than everything in ROB),
         // returning any checkpoints its branches hold.
-        for e in &self.front_q {
-            if e.has_checkpoint {
-                self.checkpoints_free += 1;
-            }
+        self.checkpoints_free += self.win.front().filter(|e| e.has_checkpoint).count();
+        // Walk youngest -> oldest undoing renames, then drop the victims
+        // and the front pipe in one truncation.
+        for victim in (rob_seq + 1..self.win.mid()).rev() {
+            self.squash_entry(victim);
         }
-        self.front_q.clear();
-        // Walk youngest -> oldest undoing renames.
-        while self.rob.len() > i + 1 {
-            let mut victim = self.rob.pop_back().expect("len > i+1");
-            self.squash_entry(&mut victim);
-        }
-        let max_rob_seq = self.rob.back().expect("recovery target survives").rob_seq;
-        self.next_rob_seq = max_rob_seq + 1;
+        self.win.truncate(rob_seq + 1);
         // Truncate squashed ordinals off the ready queue. Wakeup/completion
         // wheels and PRF waiter lists are pruned lazily instead: a stale
-        // ordinal there (even one later reused, since `next_rob_seq` resets)
-        // only triggers a spurious liveness re-check — every issue and
-        // completion re-validates against the live ROB entry.
-        self.ready_list.truncate_after(max_rob_seq);
-        self.store_list.retain(|&s| s <= max_rob_seq);
-        // The snapshot and predictor metadata are read in place: the ROB
-        // borrow is disjoint from the state they restore.
-        let e = &self.rob[i];
+        // ordinal there (even one later reused, since the next dispatch
+        // takes the first squashed ordinal) only triggers a spurious
+        // liveness re-check — every issue and completion re-validates
+        // against the live ROB entry.
+        self.ready_list.truncate_after(rob_seq);
+        self.store_list.retain(|&s| s <= rob_seq);
+        // The snapshot and predictor metadata are read in place: the
+        // window borrow is disjoint from the state they restore.
+        let e = self.win.at(rob_seq);
         let (pc, seq, instr, resolved_taken, psrc1) = (e.pc, e.seq, e.instr, e.resolved_taken, e.psrc1);
-        let snap = e.snapshot.as_deref().expect("recovering instruction has a snapshot");
+        let snap = self.win.snapshot(rob_seq).expect("recovering instruction has a snapshot");
         self.bq.recover(&snap.bq);
         self.tq.recover(&snap.tq);
         // The VQ renamer was already repaired by the squash walk (it is a
@@ -318,7 +319,7 @@ impl Pipeline {
         self.ras.restore(&snap.ras);
 
         // Predictor history rewinds to this branch and learns the outcome.
-        if let Some(meta) = &e.pred_meta {
+        if let Some(meta) = self.win.meta(rob_seq) {
             self.predictor.recover(Self::bpc(pc), resolved_taken.unwrap_or(false), meta);
         }
 
@@ -358,7 +359,10 @@ impl Pipeline {
         }
     }
 
-    fn squash_entry(&mut self, victim: &mut DynInst) {
+    /// Undoes the bookkeeping of the squashed ROB instruction with ordinal
+    /// `rob_seq`, read in its slot.
+    fn squash_entry(&mut self, rob_seq: u64) {
+        let victim = self.win.at(rob_seq);
         if let Some(out) = &mut self.outbox {
             out.push(KernelEvent::Squash(victim.pipe_event(None)));
         }

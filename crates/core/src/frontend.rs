@@ -6,9 +6,9 @@
 //!
 //! Reads/writes the front half of [`Pipeline`]: `fetch_pc`,
 //! `fetch_resume_at`, `fetch_halted`, `btb`, `ras`, `predictor`,
-//! `confidence`, `bq`, `tq`, `front_q`, `icache`, `front_block`. The only
-//! backend state it touches is via `macro_queue_op` (drained pipeline by
-//! construction).
+//! `confidence`, `bq`, `tq`, the window's front pipe, `icache`,
+//! `front_block`. The only backend state it touches is via
+//! `macro_queue_op` (drained pipeline by construction).
 
 use crate::cfd_queues::{FetchBq, FetchTq};
 use crate::config::{BqMissPolicy, CheckpointPolicy};
@@ -16,6 +16,7 @@ use crate::core::CoreError;
 use crate::host::MemoryHost;
 use crate::pipeline::{DynInst, Pipeline, Snapshot};
 use crate::rename::VqRenamer;
+use crate::window::front_capacity;
 use cfd_isa::Instr;
 use cfd_obs::CpiComponent;
 use cfd_predictor::{BranchKind, BtbEntry};
@@ -30,16 +31,13 @@ enum FetchStop {
 }
 
 impl Pipeline {
-    fn front_cap(&self) -> usize {
-        (self.cfg.front_depth as usize + 2) * self.cfg.width
-    }
-
     pub(crate) fn fetch(&mut self) -> Result<(), CoreError> {
         if self.fetch_halted || self.now < self.fetch_resume_at {
             return Ok(());
         }
         let mut fetched = 0;
-        while fetched < self.cfg.width && self.front_q.len() < self.front_cap() {
+        let front_cap = front_capacity(&self.cfg);
+        while fetched < self.cfg.width && self.win.front_len() < front_cap {
             let pc = self.fetch_pc;
             let Some(instr) = self.program.fetch(pc) else {
                 // Wrong-path fetch ran off the program: wait for recovery.
@@ -65,7 +63,7 @@ impl Pipeline {
                 | Instr::RestoreVq { .. }
                 | Instr::SaveTq { .. }
                 | Instr::RestoreTq { .. }
-                    if (!self.rob.is_empty() || !self.front_q.is_empty()) =>
+                    if !self.win.is_empty() =>
                 {
                     self.front_block = CpiComponent::Frontend;
                     return Ok(());
@@ -126,7 +124,9 @@ impl Pipeline {
     }
 
     /// Fetches one instruction: resolves/predicts control, steps the fetch
-    /// oracle, and enqueues the `DynInst`.
+    /// oracle, and writes the `DynInst` into the window's next slot (its
+    /// snapshot and predictor metadata go straight to that slot's side
+    /// entries).
     fn fetch_instr(&mut self, seq: u64, pc: u32, instr: Instr) -> Result<FetchStop, CoreError> {
         let on_wrong_path = self.diverged_at.is_some();
         let mut e = DynInst::new(seq, pc, instr, self.now + self.cfg.front_depth as u64, on_wrong_path);
@@ -153,14 +153,10 @@ impl Pipeline {
                         ev.taken.expect("branch has outcome")
                     } else {
                         // Wrong path: the oracle cannot help; fall back.
-                        let (d, meta) = self.predictor.predict(Self::bpc(pc));
-                        e.pred_meta = Some(meta);
-                        d
+                        self.predict_into_slot(&mut e, pc)
                     }
                 } else {
-                    let (d, meta) = self.predictor.predict(Self::bpc(pc));
-                    e.pred_meta = Some(meta);
-                    d
+                    self.predict_into_slot(&mut e, pc)
                 };
                 // Fault injection: an inverted prediction must be masked by
                 // the normal misprediction-recovery machinery.
@@ -170,7 +166,7 @@ impl Pipeline {
                 self.events.bpred_ops += 1;
                 e.fetch_taken = Some(dir);
                 e.fetch_target = target;
-                e.snapshot = Some(Box::new(self.take_snapshot()));
+                self.snapshot_into_slot(&mut e);
                 self.maybe_checkpoint(&mut e, pc);
                 if dir {
                     next_pc = target;
@@ -187,7 +183,7 @@ impl Pipeline {
             Instr::Jr { .. } => {
                 let predicted = self.ras.pop();
                 e.fetch_target = predicted;
-                e.snapshot = Some(Box::new(self.take_snapshot()));
+                self.snapshot_into_slot(&mut e);
                 self.maybe_checkpoint(&mut e, pc);
                 next_pc = predicted;
                 is_taken_control = true;
@@ -226,8 +222,7 @@ impl Pipeline {
                                         // complement (taken = !predicate under the
                                         // skip-if-false idiom). Training and
                                         // recovery also use the taken domain.
-                                        let (d, meta) = self.predictor.predict(Self::bpc(pc));
-                                        e.pred_meta = Some(meta);
+                                        let d = self.predict_into_slot(&mut e, pc);
                                         self.events.bpred_ops += 1;
                                         !d
                                     };
@@ -251,7 +246,7 @@ impl Pipeline {
                                     // It retires only if the program is buggy,
                                     // which the retirement oracle flags.
                                 }
-                                e.snapshot = Some(Box::new(self.take_snapshot()));
+                                self.snapshot_into_slot(&mut e);
                                 self.maybe_checkpoint(&mut e, pc);
                                 !predicted_pred
                             }
@@ -360,7 +355,7 @@ impl Pipeline {
         if is_taken_control && stop == FetchStop::Continue {
             stop = FetchStop::BundleEnd;
         }
-        self.front_q.push_back(e);
+        self.win.push(e);
         Ok(stop)
     }
 
@@ -372,8 +367,18 @@ impl Pipeline {
             && self.bq.pop_would_miss()
     }
 
-    pub(crate) fn take_snapshot(&self) -> Snapshot {
-        Snapshot { bq: self.bq.snapshot(), tq: self.tq.snapshot(), ras: self.ras.snapshot() }
+    /// Predicts the branch `e` at `pc` into the metadata entry of the
+    /// slot `e` is about to take, reusing the box already there.
+    fn predict_into_slot(&mut self, e: &mut DynInst, pc: u32) -> bool {
+        e.has_meta = true;
+        self.predictor.predict_into(Self::bpc(pc), self.win.tail_meta_mut())
+    }
+
+    /// Takes `e`'s recovery snapshot into the slot it is about to take.
+    fn snapshot_into_slot(&mut self, e: &mut DynInst) {
+        e.has_snapshot = true;
+        *self.win.tail_snapshot_mut() =
+            Snapshot { bq: self.bq.snapshot(), tq: self.tq.snapshot(), ras: self.ras.snapshot() };
     }
 
     fn maybe_checkpoint(&mut self, e: &mut DynInst, pc: u32) {

@@ -66,6 +66,7 @@ mod stats;
 mod telemetry;
 mod trace;
 mod wheel;
+mod window;
 
 pub use crate::core::{CancelToken, Core, CoreError};
 pub use cfd_queues::{BqSnapshot, FetchBq, FetchTq, TqSnapshot};

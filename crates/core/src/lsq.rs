@@ -26,8 +26,8 @@ impl Pipeline {
     /// so where its value comes from. Issue hands the answer to execute,
     /// so each issued load scans the store list once.
     pub(crate) fn load_may_issue(&self, i: usize) -> ForwardState {
-        let Instr::Load { offset, width, .. } = self.rob[i].instr else { return ForwardState::Memory };
-        let base = self.rob[i].psrc1.expect("load base renamed");
+        let Instr::Load { offset, width, .. } = self.win[i].instr else { return ForwardState::Memory };
+        let base = self.win[i].psrc1.expect("load base renamed");
         if !self.rename.is_ready(base, self.now) {
             return ForwardState::MustWait;
         }
@@ -38,13 +38,13 @@ impl Pipeline {
     fn forwarding_probe(&self, load_idx: usize, addr: u64, width: MemWidth) -> ForwardState {
         let lw = width.bytes();
         let mut result = ForwardState::Memory;
-        let load_seq = self.rob[load_idx].rob_seq;
+        let load_seq = self.win.ordinal(load_idx);
         for &sseq in &self.store_list {
             if sseq >= load_seq {
                 break;
             }
-            let Some(j) = self.rob_idx(sseq) else { continue };
-            let s = &self.rob[j];
+            let Some(j) = self.win.rob_idx(sseq) else { continue };
+            let s = &self.win[j];
             if !s.issued {
                 return ForwardState::MustWait; // unknown address
             }

@@ -9,9 +9,10 @@
 //! struct in the public [`Core`](crate::Core) API.
 //!
 //! What lives *here* is the state struct itself and everything more than
-//! one stage touches: the `DynInst` in-flight record, ROB indexing, the
-//! PRF-write wakeup hook, fault-site visiting, CPI-stack accounting, the
-//! per-cycle snapshot, and the post-mortem renderer.
+//! one stage touches: the `DynInst` in-flight record (held in the
+//! [`Window`](crate::window::Window)), the PRF-write wakeup hook,
+//! fault-site visiting, CPI-stack accounting, the per-cycle snapshot, and
+//! the post-mortem renderer.
 
 use crate::cfd_queues::{BqSnapshot, FetchBq, FetchTq, TqSnapshot};
 use crate::config::CoreConfig;
@@ -23,30 +24,31 @@ use crate::rename::{PhysReg, RenameState, Taint, VqRenamer};
 use crate::stats::CoreStats;
 use crate::trace::{CycleSnap, PipeEvent};
 use crate::wheel::{ReadyList, Wheel};
+use crate::window::Window;
 use cfd_energy::EventCounts;
 use cfd_isa::{Instr, Machine, MemImage, MemWidth, Program, QueueConfig};
 use cfd_mem::MemLevel;
 use cfd_obs::CpiComponent;
-use cfd_predictor::{predictor_by_name, Btb, ConfidenceEstimator, DirectionPredictor, PredMeta, Ras, RasSnapshot};
+use cfd_predictor::{predictor_by_name, Btb, ConfidenceEstimator, DirectionPredictor, Ras, RasSnapshot};
 use std::collections::VecDeque;
 
-/// Recovery snapshot attached to instructions that can mispredict.
-/// (The VQ renamer is a rename-stage structure repaired by the squash walk,
-/// so no VQ pointers are snapshotted here.)
-#[derive(Debug, Clone)]
+/// Recovery snapshot taken by instructions that can mispredict, kept in
+/// the window's slot-indexed side array. (The VQ renamer is a
+/// rename-stage structure repaired by the squash walk, so no VQ pointers
+/// are snapshotted here.)
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct Snapshot {
     pub(crate) bq: BqSnapshot,
     pub(crate) tq: TqSnapshot,
     pub(crate) ras: RasSnapshot,
 }
 
-/// One in-flight instruction.
-#[derive(Debug, Clone)]
+/// One in-flight instruction, written once into its window slot at fetch.
+/// Its ROB ordinal is the slot ordinal (see [`Window`]); its snapshot and
+/// predictor metadata live in the window's side arrays.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct DynInst {
     pub(crate) seq: u64,
-    /// Dense ROB ordinal assigned at dispatch (fetch seqs have gaps when
-    /// the front pipe is squashed; ROB indexing needs contiguity).
-    pub(crate) rob_seq: u64,
     pub(crate) pc: u32,
     pub(crate) instr: Instr,
     /// Cycle at which the instruction may dispatch (front-pipe delay).
@@ -57,8 +59,9 @@ pub(crate) struct DynInst {
     pub(crate) fetch_taken: Option<bool>,
     /// Predicted target for indirect jumps.
     pub(crate) fetch_target: u32,
-    /// Predictor metadata (plain branches and speculative pops).
-    pub(crate) pred_meta: Option<PredMeta>,
+    /// The slot's predictor-metadata entry is this instruction's (plain
+    /// branches and speculative pops).
+    pub(crate) has_meta: bool,
     /// This `Branch_on_BQ` was resolved speculatively (BQ miss).
     pub(crate) spec_pop: bool,
     /// Speculative pop verified by its push.
@@ -69,8 +72,8 @@ pub(crate) struct DynInst {
     pub(crate) tq_abs: Option<u64>,
     /// TCR value loaded by a `Pop_TQ` at fetch.
     pub(crate) tq_loaded_tcr: u32,
-    /// Recovery snapshot.
-    pub(crate) snapshot: Option<Box<Snapshot>>,
+    /// The slot's recovery-snapshot entry is this instruction's.
+    pub(crate) has_snapshot: bool,
     pub(crate) has_checkpoint: bool,
     // Rename results.
     pub(crate) pdest: Option<PhysReg>,
@@ -103,24 +106,27 @@ pub(crate) struct DynInst {
     pub(crate) taint: Taint,
 }
 
+// A window slot is overwritten in place and squashed by truncation, so
+// an in-flight instruction must own nothing that needs dropping.
+const _: () = assert!(!std::mem::needs_drop::<DynInst>());
+
 impl DynInst {
     pub(crate) fn new(seq: u64, pc: u32, instr: Instr, dispatch_at: u64, on_wrong_path: bool) -> DynInst {
         DynInst {
             seq,
-            rob_seq: 0,
             pc,
             instr,
             dispatch_at,
             on_wrong_path,
             fetch_taken: None,
             fetch_target: 0,
-            pred_meta: None,
+            has_meta: false,
             spec_pop: false,
             verified: true,
             bq_abs: None,
             tq_abs: None,
             tq_loaded_tcr: 0,
-            snapshot: None,
+            has_snapshot: false,
             has_checkpoint: false,
             pdest: None,
             prev_phys: None,
@@ -226,10 +232,11 @@ pub(crate) struct Pipeline {
     pub(crate) bq: FetchBq,
     pub(crate) tq: FetchTq,
     pub(crate) vq: VqRenamer,
-    pub(crate) front_q: VecDeque<DynInst>,
+    /// Every in-flight instruction: the ROB and, behind it, the front
+    /// pipe, in one ring of slots.
+    pub(crate) win: Window,
     // Back end.
     pub(crate) rename: RenameState,
-    pub(crate) rob: VecDeque<DynInst>,
     /// ROB ordinals of dispatched instructions whose sources are all
     /// computed, in age order (the scheduler's ready queue). Entries are
     /// re-validated at issue; stale ordinals (squashed or re-blocked by a
@@ -254,7 +261,6 @@ pub(crate) struct Pipeline {
     pub(crate) mem: MemoryPort,
     pub(crate) now: u64,
     pub(crate) next_seq: u64,
-    pub(crate) next_rob_seq: u64,
     pub(crate) halted: bool,
     pub(crate) stats: CoreStats,
     pub(crate) events: EventCounts,
@@ -299,6 +305,10 @@ impl Pipeline {
         let fetch_oracle = oracle.clone();
         let predictor = predictor_by_name(&cfg.predictor)
             .ok_or_else(|| CoreError::Config(format!("unknown predictor `{}`", cfg.predictor)))?;
+        let bq = FetchBq::new(cfg.bq_size);
+        let tq = FetchTq::new(cfg.tq_size, cfg.tq_trip_bits);
+        let ras = Ras::new(16);
+        let win = Window::for_config(&cfg, Snapshot { bq: bq.snapshot(), tq: tq.snapshot(), ras: ras.snapshot() });
         Ok(Pipeline {
             program,
             oracle,
@@ -308,15 +318,14 @@ impl Pipeline {
             fetch_resume_at: 0,
             fetch_halted: false,
             btb: Btb::new(10, 4),
-            ras: Ras::new(16),
+            ras,
             predictor,
             confidence: ConfidenceEstimator::new(12, 15),
-            bq: FetchBq::new(cfg.bq_size),
-            tq: FetchTq::new(cfg.tq_size, cfg.tq_trip_bits),
+            bq,
+            tq,
             vq: VqRenamer::new(cfg.vq_size),
-            front_q: VecDeque::new(),
+            win,
             rename: RenameState::new(cfg.prf_size),
-            rob: VecDeque::new(),
             ready_list: ReadyList::default(),
             wakeup_wheel: Wheel::new(),
             completion_wheel: Wheel::new(),
@@ -328,7 +337,6 @@ impl Pipeline {
             mem: MemoryPort::new(cfg.hierarchy.clone()),
             now: 0,
             next_seq: 0,
-            next_rob_seq: 0,
             halted: false,
             stats: CoreStats::default(),
             events: EventCounts::default(),
@@ -366,7 +374,7 @@ impl Pipeline {
     /// The single component charged for this cycle's idle retire slots,
     /// classified from the end-of-cycle ROB head (or its absence).
     fn idle_cause(&self) -> CpiComponent {
-        if let Some(head) = self.rob.front() {
+        if let Some(head) = self.win.rob_head() {
             // A resolved speculative BQ pop waiting for its late push.
             if head.done && !head.verified {
                 return CpiComponent::CfdStall;
@@ -405,10 +413,10 @@ impl Pipeline {
             fetched: self.stats.fetched,
             mispredictions: self.stats.mispredictions,
             retired_branches: self.stats.retired_branches,
-            rob: self.rob.len(),
+            rob: self.win.rob_len(),
             iq: self.iq_count,
             lsq: self.lsq_count,
-            front_q: self.front_q.len(),
+            front_q: self.win.front_len(),
             bq_len: self.bq.length(),
             vq_len: self.vq.length(),
             tq_len: self.tq.length(),
@@ -450,14 +458,6 @@ impl Pipeline {
         (pc as u64) << 2
     }
 
-    /// ROB index of the instruction with dense ordinal `rob_seq`.
-    #[inline]
-    pub(crate) fn rob_idx(&self, rob_seq: u64) -> Option<usize> {
-        let front = self.rob.front()?.rob_seq;
-        let idx = rob_seq.checked_sub(front)? as usize;
-        (idx < self.rob.len()).then_some(idx)
-    }
-
     /// Writes a physical register and moves its waiters to the wakeup
     /// wheel at the value's ready cycle. Every producer-side PRF write goes
     /// through here so no registered consumer can miss its wakeup.
@@ -478,10 +478,10 @@ impl Pipeline {
             "rob={} iq={} lsq={} front_q={} fetch_pc={} fetch_halted={} resume_at={} diverged={:?} \
              bq[h={} t={} net={} pend={} len={}] tq[h={} t={} tcr={}] vq[h={} t={} net={} pend={}] \
              free_regs={} ckpt_free={}",
-            self.rob.len(),
+            self.win.rob_len(),
             self.iq_count,
             self.lsq_count,
-            self.front_q.len(),
+            self.win.front_len(),
             self.fetch_pc,
             self.fetch_halted,
             self.fetch_resume_at,
@@ -501,7 +501,7 @@ impl Pipeline {
             self.rename.free_regs(),
             self.checkpoints_free
         );
-        match self.rob.front() {
+        match self.win.rob_head() {
             Some(e) => {
                 let _ = write!(
                     s,
@@ -511,7 +511,7 @@ impl Pipeline {
             }
             None => s.push_str(" | head: none"),
         }
-        match self.front_q.front() {
+        match self.win.front_head() {
             Some(e) => {
                 let _ = write!(s, " | front_head: seq={} pc={} `{}` disp_at={}", e.seq, e.pc, e.instr, e.dispatch_at);
             }

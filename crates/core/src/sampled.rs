@@ -160,7 +160,7 @@ impl Warmer {
 
     /// Observes one functional retirement: L1I probe, data-hierarchy
     /// replay, BTB fill, and immediate-update predictor training (the
-    /// same predict/repair/train sequence the profiler replays).
+    /// predictor's `observe`, as the profiler replays it).
     fn observe(&mut self, ev: &RetireEvent) {
         self.clock += 1;
         let now = self.clock;
@@ -184,15 +184,8 @@ impl Warmer {
                 },
             );
         }
-        if ev.instr.is_plain_conditional() {
-            if let Some(taken) = ev.taken {
-                let bpc = Pipeline::bpc(ev.pc);
-                let (pred, meta) = self.predictor.predict(bpc);
-                if pred != taken {
-                    self.predictor.recover(bpc, taken, &meta);
-                }
-                self.predictor.train(bpc, taken, &meta);
-            }
+        if let (true, Some(taken)) = (ev.instr.is_plain_conditional(), ev.taken) {
+            self.predictor.observe(Pipeline::bpc(ev.pc), taken);
         }
     }
 

@@ -97,9 +97,9 @@ impl Pipeline {
     /// predicate is exactly the polling scheduler's: stores wait on address
     /// readiness alone.
     pub(crate) fn register_or_ready(&mut self, rob_seq: u64) {
-        let Some(i) = self.rob_idx(rob_seq) else { return };
+        let Some(i) = self.win.rob_idx(rob_seq) else { return };
         let (psrc1, psrc2, is_store, live) = {
-            let e = &self.rob[i];
+            let e = &self.win[i];
             let is_store = matches!(e.instr, Instr::Store { .. });
             (e.psrc1, e.psrc2, is_store, e.dispatched && !e.issued && e.in_iq)
         };
@@ -172,8 +172,8 @@ impl Pipeline {
             // truncated-then-reused ordinal or a lazily-dropped wheel entry
             // can still surface here. The checks below make such entries
             // inert.
-            let Some(i) = self.rob_idx(seq) else { return Walk::Remove };
-            let e = &self.rob[i];
+            let Some(i) = self.win.rob_idx(seq) else { return Walk::Remove };
+            let e = &self.win[i];
             if !(e.dispatched && !e.issued && e.in_iq) {
                 return Walk::Remove;
             }
@@ -222,14 +222,14 @@ impl Pipeline {
             }
             issued += 1;
             self.stats.issued += 1;
-            let ready_at = self.rob[i].ready_at;
+            let ready_at = self.win[i].ready_at;
             self.completion_wheel.push(ready_at, seq);
-            if self.rob[i].on_wrong_path {
+            if self.win[i].on_wrong_path {
                 self.stats.wrong_path_issued += 1;
             }
             self.events.iq_wakeups += 1;
-            if self.rob[i].in_iq {
-                self.rob[i].in_iq = false;
+            if self.win[i].in_iq {
+                self.win[i].in_iq = false;
                 self.iq_count -= 1;
             }
             Walk::Remove
@@ -251,7 +251,7 @@ impl Pipeline {
     fn execute_at(&mut self, i: usize, forward: ForwardState) -> bool {
         let now = self.now;
         let (instr, pc, psrc1, psrc2) = {
-            let e = &self.rob[i];
+            let e = &self.win[i];
             (e.instr, e.pc, e.psrc1, e.psrc2)
         };
         let v1 = psrc1.map(|p| self.rename.read(p)).unwrap_or(0);
@@ -318,7 +318,7 @@ impl Pipeline {
                     }
                     ForwardState::MustWait => unreachable!("checked by load_may_issue"),
                 }
-                self.rob[i].eff_addr = Some(addr);
+                self.win[i].eff_addr = Some(addr);
             }
             Instr::Prefetch { offset, .. } => {
                 let addr = (v1 as u64).wrapping_add(offset as u64);
@@ -326,7 +326,7 @@ impl Pipeline {
                 if res.mshr_full {
                     return false;
                 }
-                self.rob[i].eff_addr = Some(addr);
+                self.win[i].eff_addr = Some(addr);
                 latency = 1; // non-binding: completes immediately
                 self.events.lsq_ops += 1;
             }
@@ -335,7 +335,7 @@ impl Pipeline {
                 // load forwards from this store (or implicitly at retire via
                 // the oracle).
                 let addr = (v1 as u64).wrapping_add(offset as u64);
-                self.rob[i].eff_addr = Some(addr);
+                self.win[i].eff_addr = Some(addr);
                 latency = 1;
                 self.events.lsq_ops += 1;
             }
@@ -363,7 +363,7 @@ impl Pipeline {
         }
 
         let pdest = {
-            let e = &mut self.rob[i];
+            let e = &mut self.win[i];
             e.issued = true;
             e.t_issue = now;
             e.ready_at = now + latency;
@@ -393,19 +393,19 @@ impl Pipeline {
         due.sort_unstable();
         for k in 0..due.len() {
             let seq = due[k];
-            let Some(i) = self.rob_idx(seq) else { continue };
-            if !(self.rob[i].issued && !self.rob[i].done && self.rob[i].ready_at <= self.now) {
+            let Some(i) = self.win.rob_idx(seq) else { continue };
+            if !(self.win[i].issued && !self.win[i].done && self.win[i].ready_at <= self.now) {
                 continue;
             }
-            self.rob[i].done = true;
-            self.rob[i].t_complete = self.now;
-            let instr = self.rob[i].instr;
+            self.win[i].done = true;
+            self.win[i].t_complete = self.now;
+            let instr = self.win[i].instr;
             let truncated = match instr {
                 Instr::Branch { .. } | Instr::Jr { .. } => self.resolve_branch(i),
                 Instr::PushBq { .. } => self.execute_push_bq(i),
                 Instr::PushTq { .. } => {
-                    let abs = self.rob[i].tq_abs.expect("tq push has index");
-                    let src = self.rob[i].psrc1.expect("tq push has source");
+                    let abs = self.win[i].tq_abs.expect("tq push has index");
+                    let src = self.win[i].psrc1.expect("tq push has source");
                     let mut v = self.rename.read(src);
                     // Fault injection at the TQ write port: an off-by-one
                     // trip count makes `Branch_on_TCR` run the loop a wrong

@@ -45,17 +45,43 @@ impl MemImage {
 
     #[inline]
     fn write_byte(&mut self, addr: u64, val: u8) {
-        let page = self.pages.entry(addr >> PAGE_SHIFT).or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
-        page[(addr & PAGE_MASK) as usize] = val;
+        self.page_mut(addr)[(addr & PAGE_MASK) as usize] = val;
+    }
+
+    /// The page holding `addr`, mapped (zero-filled) on first touch.
+    #[inline]
+    fn page_mut(&mut self, addr: u64) -> &mut [u8; PAGE_SIZE] {
+        self.pages.entry(addr >> PAGE_SHIFT).or_insert_with(|| Box::new([0u8; PAGE_SIZE]))
+    }
+
+    /// The in-page byte range of an `n`-byte access at `addr`, or `None`
+    /// when the access crosses a page boundary.
+    #[inline]
+    fn in_page(addr: u64, n: usize) -> Option<std::ops::Range<usize>> {
+        let off = (addr & PAGE_MASK) as usize;
+        (off + n <= PAGE_SIZE).then_some(off..off + n)
     }
 
     /// Reads `width` bytes, little-endian, zero- or sign-extended to `i64`.
+    ///
+    /// An access inside one page costs one page lookup; one that crosses
+    /// a page boundary reads byte by byte.
     pub fn read(&self, addr: u64, width: MemWidth, signed: bool) -> i64 {
-        let n = width.bytes();
-        let mut v: u64 = 0;
-        for i in 0..n {
-            v |= (self.read_byte(addr.wrapping_add(i)) as u64) << (8 * i);
+        let n = width.bytes() as usize;
+        let mut bytes = [0u8; 8];
+        match Self::in_page(addr, n) {
+            Some(range) => {
+                if let Some(p) = self.pages.get(&(addr >> PAGE_SHIFT)) {
+                    bytes[..n].copy_from_slice(&p[range]);
+                }
+            }
+            None => {
+                for (i, b) in bytes[..n].iter_mut().enumerate() {
+                    *b = self.read_byte(addr.wrapping_add(i as u64));
+                }
+            }
         }
+        let v = u64::from_le_bytes(bytes);
         if signed {
             let shift = 64 - 8 * n as u32;
             ((v << shift) as i64) >> shift
@@ -65,11 +91,19 @@ impl MemImage {
     }
 
     /// Writes the low `width` bytes of `val`, little-endian.
+    ///
+    /// An access inside one page costs one page lookup; one that crosses
+    /// a page boundary writes byte by byte.
     pub fn write(&mut self, addr: u64, val: i64, width: MemWidth) {
-        let n = width.bytes();
-        let v = val as u64;
-        for i in 0..n {
-            self.write_byte(addr.wrapping_add(i), (v >> (8 * i)) as u8);
+        let n = width.bytes() as usize;
+        let bytes = val.to_le_bytes();
+        match Self::in_page(addr, n) {
+            Some(range) => self.page_mut(addr)[range].copy_from_slice(&bytes[..n]),
+            None => {
+                for (i, &b) in bytes[..n].iter().enumerate() {
+                    self.write_byte(addr.wrapping_add(i as u64), b);
+                }
+            }
         }
     }
 
@@ -188,6 +222,52 @@ mod tests {
         assert_ne!(a.stable_bytes(), b.stable_bytes());
         // Two pages: 2 * (8-byte index + 4 KiB payload).
         assert_eq!(a.stable_bytes().len(), 2 * (8 + 4096));
+    }
+
+    /// Every width at every offset up to a page's end: in-page accesses
+    /// take one lookup, crossing ones read and write byte by byte, and both
+    /// agree with a byte-at-a-time reference.
+    #[test]
+    fn widths_at_the_page_edge() {
+        let widths = [MemWidth::B1, MemWidth::B2, MemWidth::B4, MemWidth::B8];
+        for width in widths {
+            let n = width.bytes();
+            for off in 4088..4096u64 {
+                let addr = (3 << PAGE_SHIFT) + off;
+                let val = 0x8877_6655_4433_2211u64 as i64;
+                let mut m = MemImage::new();
+                m.write(addr, val, width);
+                let crosses = off + n > PAGE_SIZE as u64;
+                assert_eq!(m.mapped_pages(), 1 + crosses as usize, "{width:?} at {off}");
+                for i in 0..n {
+                    assert_eq!(m.read_byte(addr + i), (val >> (8 * i)) as u8, "{width:?} at {off}, byte {i}");
+                }
+                assert_eq!(m.read_byte(addr + n), 0, "{width:?} at {off} wrote past its width");
+                let shift = 64 - 8 * n as u32;
+                let zext = ((val as u64) << shift >> shift) as i64;
+                let sext = (val << shift) >> shift;
+                assert_eq!(m.read(addr, width, false), zext, "{width:?} at {off}");
+                assert_eq!(m.read(addr, width, true), sext, "{width:?} at {off}");
+            }
+        }
+    }
+
+    #[test]
+    fn unmapped_reads_map_nothing_at_any_offset() {
+        let mut m = MemImage::new();
+        m.write_u64(0x1ff8, u64::MAX); // the last word of page 1; page 2 stays unmapped
+        let widths = [MemWidth::B1, MemWidth::B2, MemWidth::B4, MemWidth::B8];
+        for width in widths {
+            let n = width.bytes();
+            for off in 4088..4096u64 {
+                assert_eq!(m.read(0x7000 + off, width, true), 0, "{width:?} at {off}, unmapped page");
+                // From page 1 into page 2: mapped bytes read 0xff, the rest 0.
+                let mapped = (0x1000 - off).min(n);
+                let expect = if mapped == 8 { u64::MAX } else { (1u64 << (8 * mapped)) - 1 };
+                assert_eq!(m.read(0x1000 + off, width, false) as u64, expect, "{width:?} at {off}");
+            }
+        }
+        assert_eq!(m.mapped_pages(), 1, "reads never map a page");
     }
 
     #[test]

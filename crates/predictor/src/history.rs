@@ -96,10 +96,20 @@ impl GlobalHistory {
 
     /// Registers a folded view of the last `hist_len` bits compressed to
     /// `out_bits`; returns its handle for [`folded`](Self::folded).
+    ///
+    /// A fold's value depends only on its shape and the history, so a
+    /// shape that is already registered returns the existing handle: each
+    /// [`insert`](Self::insert) then updates it once, not once per
+    /// caller. (TAGE asks for the same shape twice per table whenever its
+    /// index width equals its tag width minus one.)
     pub fn add_fold(&mut self, hist_len: usize, out_bits: u32) -> usize {
         assert!(hist_len < BUF_BITS / 2, "history length too large for the buffer");
+        let shape = FoldShape::new(hist_len, out_bits);
+        if let Some(existing) = self.shapes[..self.n_folds].iter().position(|&s| s == shape) {
+            return existing;
+        }
         assert!(self.n_folds < MAX_FOLDS, "too many folded views");
-        self.shapes[self.n_folds] = FoldShape::new(hist_len, out_bits);
+        self.shapes[self.n_folds] = shape;
         self.values[self.n_folds] = 0;
         self.n_folds += 1;
         self.n_folds - 1
@@ -251,6 +261,27 @@ mod tests {
         gh.insert(false, 11);
         gh.restore(&snap);
         assert_eq!(gh.snapshot(), snap);
+    }
+
+    #[test]
+    fn identical_fold_shapes_share_a_handle() {
+        let mut gh = GlobalHistory::new();
+        let a = gh.add_fold(21, 10);
+        let b = gh.add_fold(21, 11);
+        assert_ne!(a, b, "a different width is a different fold");
+        assert_eq!(gh.add_fold(21, 10), a, "the same shape gets the same handle");
+        let c = gh.add_fold(36, 10);
+        assert_ne!(c, a, "a different length is a different fold");
+        assert_eq!(gh.n_folds, 3);
+        for i in 0..200 {
+            gh.insert(i % 7 < 3, i);
+        }
+        let mut twin = GlobalHistory::new();
+        let t = twin.add_fold(21, 10);
+        for i in 0..200 {
+            twin.insert(i % 7 < 3, i);
+        }
+        assert_eq!(gh.folded(a), twin.folded(t));
     }
 
     #[test]

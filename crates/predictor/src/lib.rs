@@ -68,14 +68,30 @@ pub enum PredMeta {
 
 /// The uniform, object-safe interface the timing core drives.
 ///
-/// Contract: `predict` speculatively updates internal history and returns
-/// metadata; exactly one of `recover` (branch resolved, mispredicted),
-/// `squash` (branch discarded entirely), or nothing (correct prediction)
-/// repairs that speculation; `train` is called at retirement for every
-/// resolved branch, in program order.
+/// Contract: `predict_into` (or its wrapper `predict`) speculatively
+/// updates internal history and produces metadata; exactly one of
+/// `recover` (branch resolved, mispredicted), `squash` (branch discarded
+/// entirely), or nothing (correct prediction) repairs that speculation;
+/// `train` is called at retirement for every resolved branch, in program
+/// order.
 pub trait DirectionPredictor {
-    /// Predicts the branch at `pc`, updating speculative state.
-    fn predict(&mut self, pc: u64) -> (bool, PredMeta);
+    /// Predicts the branch at `pc`, updating speculative state, and writes
+    /// this prediction's metadata into `meta`, whatever it held before.
+    ///
+    /// The one prediction path every implementor provides. When `meta`
+    /// already holds this predictor's boxed variant, the box is
+    /// overwritten in place, so a caller that keeps one slot per in-flight
+    /// branch (as `cfd-core`'s window does) allocates only while its slots
+    /// first fill.
+    fn predict_into(&mut self, pc: u64, meta: &mut Option<PredMeta>) -> bool;
+    /// Predicts the branch at `pc`, updating speculative state, and
+    /// returns fresh metadata ([`predict_into`](Self::predict_into) into
+    /// an empty slot).
+    fn predict(&mut self, pc: u64) -> (bool, PredMeta) {
+        let mut meta = None;
+        let pred = self.predict_into(pc, &mut meta);
+        (pred, meta.expect("predict_into writes the metadata"))
+    }
     /// Repairs speculative state after this branch resolved `taken` against
     /// a wrong prediction.
     fn recover(&mut self, pc: u64, taken: bool, meta: &PredMeta);
@@ -119,8 +135,9 @@ impl Clone for Box<dyn DirectionPredictor> {
 pub struct AlwaysTaken;
 
 impl DirectionPredictor for AlwaysTaken {
-    fn predict(&mut self, _pc: u64) -> (bool, PredMeta) {
-        (true, PredMeta::Static)
+    fn predict_into(&mut self, _pc: u64, meta: &mut Option<PredMeta>) -> bool {
+        *meta = Some(PredMeta::Static);
+        true
     }
     fn recover(&mut self, _pc: u64, _taken: bool, _meta: &PredMeta) {}
     fn squash(&mut self, _meta: &PredMeta) {}
@@ -134,8 +151,9 @@ impl DirectionPredictor for AlwaysTaken {
 }
 
 impl DirectionPredictor for Bimodal {
-    fn predict(&mut self, pc: u64) -> (bool, PredMeta) {
-        (Bimodal::predict(self, pc), PredMeta::Bimodal)
+    fn predict_into(&mut self, pc: u64, meta: &mut Option<PredMeta>) -> bool {
+        *meta = Some(PredMeta::Bimodal);
+        Bimodal::predict(self, pc)
     }
     fn recover(&mut self, _pc: u64, _taken: bool, _meta: &PredMeta) {}
     fn squash(&mut self, _meta: &PredMeta) {}
@@ -151,9 +169,13 @@ impl DirectionPredictor for Bimodal {
 }
 
 impl DirectionPredictor for Gshare {
-    fn predict(&mut self, pc: u64) -> (bool, PredMeta) {
+    fn predict_into(&mut self, pc: u64, meta: &mut Option<PredMeta>) -> bool {
         let (p, m) = Gshare::predict(self, pc);
-        (p, PredMeta::Gshare(Box::new(m)))
+        match meta {
+            Some(PredMeta::Gshare(b)) => **b = m,
+            _ => *meta = Some(PredMeta::Gshare(Box::new(m))),
+        }
+        p
     }
     fn recover(&mut self, pc: u64, taken: bool, meta: &PredMeta) {
         if let PredMeta::Gshare(m) = meta {
@@ -176,12 +198,24 @@ impl DirectionPredictor for Gshare {
     fn clone_box(&self) -> Box<dyn DirectionPredictor> {
         Box::new(self.clone())
     }
+    fn observe(&mut self, pc: u64, taken: bool) -> bool {
+        let (pred, m) = Gshare::predict(self, pc);
+        if pred != taken {
+            Gshare::recover(self, &m, taken, pc);
+        }
+        Gshare::train(self, taken, &m);
+        pred != taken
+    }
 }
 
 impl DirectionPredictor for Perceptron {
-    fn predict(&mut self, pc: u64) -> (bool, PredMeta) {
+    fn predict_into(&mut self, pc: u64, meta: &mut Option<PredMeta>) -> bool {
         let (p, m) = Perceptron::predict(self, pc);
-        (p, PredMeta::Perceptron(Box::new(m)))
+        match meta {
+            Some(PredMeta::Perceptron(b)) => **b = m,
+            _ => *meta = Some(PredMeta::Perceptron(Box::new(m))),
+        }
+        p
     }
     fn recover(&mut self, pc: u64, taken: bool, meta: &PredMeta) {
         if let PredMeta::Perceptron(m) = meta {
@@ -204,12 +238,24 @@ impl DirectionPredictor for Perceptron {
     fn clone_box(&self) -> Box<dyn DirectionPredictor> {
         Box::new(self.clone())
     }
+    fn observe(&mut self, pc: u64, taken: bool) -> bool {
+        let (pred, m) = Perceptron::predict(self, pc);
+        if pred != taken {
+            Perceptron::recover(self, &m, taken, pc);
+        }
+        Perceptron::train(self, taken, &m);
+        pred != taken
+    }
 }
 
 impl DirectionPredictor for IslTage {
-    fn predict(&mut self, pc: u64) -> (bool, PredMeta) {
+    fn predict_into(&mut self, pc: u64, meta: &mut Option<PredMeta>) -> bool {
         let (p, m) = IslTage::predict(self, pc);
-        (p, PredMeta::IslTage(Box::new(m)))
+        match meta {
+            Some(PredMeta::IslTage(b)) => **b = m,
+            _ => *meta = Some(PredMeta::IslTage(Box::new(m))),
+        }
+        p
     }
     fn recover(&mut self, pc: u64, taken: bool, meta: &PredMeta) {
         if let PredMeta::IslTage(m) = meta {
@@ -232,6 +278,14 @@ impl DirectionPredictor for IslTage {
     fn clone_box(&self) -> Box<dyn DirectionPredictor> {
         Box::new(self.clone())
     }
+    fn observe(&mut self, pc: u64, taken: bool) -> bool {
+        let (pred, m) = IslTage::predict(self, pc);
+        if pred != taken {
+            IslTage::recover(self, pc, taken, &m);
+        }
+        IslTage::train(self, pc, taken, &m);
+        pred != taken
+    }
 }
 
 /// Constructs a predictor by name: `"always-taken"`, `"bimodal"`,
@@ -252,9 +306,11 @@ pub fn predictor_by_name(name: &str) -> Option<Box<dyn DirectionPredictor>> {
 mod tests {
     use super::*;
 
+    const NAMES: [&str; 5] = ["always-taken", "bimodal", "gshare", "perceptron", "isl-tage"];
+
     #[test]
     fn factory_knows_all_names() {
-        for n in ["always-taken", "bimodal", "gshare", "perceptron", "isl-tage"] {
+        for n in NAMES {
             assert_eq!(predictor_by_name(n).unwrap().name(), n);
         }
         assert!(predictor_by_name("oracle").is_none());
@@ -277,6 +333,47 @@ mod tests {
         // ordering holds up to noise, and both crush bimodal.
         assert!(rates[2] <= rates[1] + 30, "isl-tage ({}) should match gshare ({})", rates[2], rates[1]);
         assert!(rates[1] * 10 < rates[0], "gshare ({}) should crush bimodal ({})", rates[1], rates[0]);
+    }
+
+    /// `observe` (box-free where overridden), explicit predict/recover/
+    /// train, and `predict_into` over a ring of reused metadata slots are
+    /// one prediction path: three twins agree on every prediction.
+    #[test]
+    fn observe_matches_explicit_predict_recover_train() {
+        for name in NAMES {
+            let mut observed = predictor_by_name(name).unwrap();
+            let mut explicit = predictor_by_name(name).unwrap();
+            let mut slotted = predictor_by_name(name).unwrap();
+            let mut slots: [Option<PredMeta>; 4] = Default::default();
+            let mut x = 0x9e37_79b9_7f4a_7c15u64;
+            for i in 0..20_000usize {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let pc = 0x40 + (x % 24) * 4;
+                // Half the branches follow a short pattern, half are noise.
+                let taken = if pc < 0x70 { i % 3 != 0 } else { (x >> 40) & 1 == 1 };
+
+                let missed = observed.observe(pc, taken);
+
+                let (pred, meta) = explicit.predict(pc);
+                if pred != taken {
+                    explicit.recover(pc, taken, &meta);
+                }
+                explicit.train(pc, taken, &meta);
+
+                let slot = &mut slots[i % 4];
+                let slot_pred = slotted.predict_into(pc, slot);
+                let meta = slot.as_ref().expect("predict_into writes the slot");
+                if slot_pred != taken {
+                    slotted.recover(pc, taken, meta);
+                }
+                slotted.train(pc, taken, meta);
+
+                assert_eq!(missed, pred != taken, "{name}: observe vs predict at branch {i}");
+                assert_eq!(slot_pred, pred, "{name}: predict_into vs predict at branch {i}");
+            }
+        }
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! [`LintReport`]: a list of [`Diagnostic`]s (each carrying the violated
 //! [`Rule`], a [`Severity`], the program counter, the nearest enclosing
 //! label and any source annotation at that pc) plus the proved static
-//! occupancy bounds per queue. The report renders both as a fixed-width
-//! table for humans and as deterministic JSON for tooling.
+//! occupancy bounds per queue, and renders as a fixed-width table for
+//! humans (`cfd-bench` owns its JSON form, next to the reader).
 
 use cfd_isa::{Program, QueueKind};
 use std::fmt;
@@ -212,53 +212,6 @@ impl LintReport {
         }
         out
     }
-
-    /// Deterministic JSON rendering of the whole report.
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\"clean\":");
-        s.push_str(if self.clean() { "true" } else { "false" });
-        s.push_str(",\"bounds\":{");
-        let b = |x: Option<u64>| x.map_or("null".to_string(), |v| v.to_string());
-        s.push_str(&format!("\"bq\":{},\"vq\":{},\"tq\":{}", b(self.bounds.bq), b(self.bounds.vq), b(self.bounds.tq)));
-        s.push_str("},\"diagnostics\":[");
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"rule\":{},\"severity\":{},\"queue\":{},\"pc\":{},\"label\":{},\"annotation\":{},\"message\":{}}}",
-                json_str(d.rule.name()),
-                json_str(d.severity.name()),
-                d.queue.map_or("null".to_string(), |q| json_str(q.name())),
-                d.pc.map_or("null".to_string(), |pc| pc.to_string()),
-                d.label.as_deref().map_or("null".to_string(), json_str),
-                d.annotation.as_deref().map_or("null".to_string(), json_str),
-                json_str(&d.message)
-            ));
-        }
-        s.push_str("]}");
-        s
-    }
-}
-
-/// Escapes a string as a JSON string literal.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -289,32 +242,9 @@ mod tests {
     }
 
     #[test]
-    fn json_is_deterministic_and_escaped() {
-        let p = program_with_labels();
-        let d = Diagnostic::new(
-            Rule::Overflow,
-            Severity::Error,
-            Some(QueueKind::Tq),
-            Some(1),
-            "needs \"quotes\"\nand newline".into(),
-            &p,
-        );
-        let r = LintReport { diagnostics: vec![d], bounds: QueueBounds { bq: Some(64), vq: Some(0), tq: None } };
-        let j = r.to_json();
-        assert_eq!(j, r.to_json());
-        assert!(j.contains("\"bq\":64"));
-        assert!(j.contains("\"tq\":null"));
-        assert!(j.contains("\\\"quotes\\\"\\nand"));
-        assert!(j.starts_with("{\"clean\":false"));
-        assert!(!r.clean());
-        assert_eq!(r.error_count(), 1);
-    }
-
-    #[test]
     fn clean_report_renders() {
         let r = LintReport { diagnostics: vec![], bounds: QueueBounds { bq: Some(1), vq: Some(0), tq: Some(0) } };
         assert!(r.clean());
         assert!(r.table().contains("clean"));
-        assert!(r.to_json().starts_with("{\"clean\":true"));
     }
 }

@@ -50,11 +50,6 @@ impl MemDep {
         Self::compare(a, b)
     }
 
-    /// Whether the references at `a_pc` and `b_pc` are proven disjoint.
-    pub fn proven_disjoint(&self, a_pc: u32, b_pc: u32) -> bool {
-        self.verdict(a_pc, b_pc) == AliasVerdict::ProvenDisjoint
-    }
-
     fn compare(a: &MemRef, b: &MemRef) -> AliasVerdict {
         let (AddrRange::Known { syms: sa, lo: la, hi: ha }, AddrRange::Known { syms: sb, lo: lb, hi: hb }) =
             (&a.addr, &b.addr)

@@ -160,11 +160,6 @@ impl LoopValues {
         self.mem.get(&pc)
     }
 
-    /// All loads and stores of the loop, in PC order.
-    pub fn mem_refs(&self) -> impl Iterator<Item = &MemRef> {
-        self.mem.values()
-    }
-
     /// The invariant register an interned atom id stands for.
     pub fn atom_reg(&self, id: u32) -> Reg {
         self.atoms[id as usize]

@@ -86,12 +86,6 @@
 //!
 //! Simperf options:
 //!   --scale N       workload outer trip count (default catalog scale)
-//!   --json PATH     timing-record destination ("-" = stdout;
-//!                   default artifacts/BENCH_simperf.json). Each run
-//!                   produces one timestamped JSON record; the default
-//!                   overwrites the file with the latest record
-//!   --append        append the record instead of overwriting, turning
-//!                   the artifact into a JSONL throughput trajectory
 //!   --profile       run the catalog through the stage self-profiler
 //!                   and print per-stage wall-time shares (sum to
 //!                   exactly 100.00%) plus scheduler-efficiency counters
@@ -145,172 +139,196 @@
 use cfd_bench::experiments;
 use cfd_exec::{Engine, ExecConfig, RetryPolicy};
 use cfd_harden::{run_campaign_on, run_exec_chaos, CampaignConfig, ChaosConfig};
+use cfd_workloads::Scale;
 use std::time::Instant;
 
-/// Global flags that outlive subcommand dispatch.
-struct Global {
-    quiet: bool,
-    trace_out: Option<String>,
-}
-
-impl Global {
-    /// End-of-run chores: the stats line (unless `--quiet`) and the
-    /// engine job trace (when `--trace-out` was given).
-    fn finish(&self, engine: &Engine) {
-        if !self.quiet {
-            eprintln!("{}", engine.stats_line());
-        }
-        if let Some(path) = &self.trace_out {
-            std::fs::write(path, engine.trace_json()).unwrap_or_else(|e| {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
-            });
-            println!("engine trace written to {path}");
-        }
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Err(e) = parse_global(ExecConfig::from_env(), &args).and_then(run) {
+        die(e);
     }
 }
 
-fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let observing = args.first().is_some_and(|a| a == "observe");
-    let mut cfg = ExecConfig::from_env();
-    let mut global = Global { quiet: false, trace_out: None };
-    let mut retries = 0u64;
-    let mut timeout_cycles = 0u64;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--jobs" => {
-                args.remove(i);
-                let v = if i < args.len() {
-                    args.remove(i)
-                } else {
-                    eprintln!("--jobs needs a value");
-                    std::process::exit(1);
-                };
-                cfg.jobs = parse_u64(&v).filter(|&n| n > 0).unwrap_or_else(|| {
-                    eprintln!("bad value for --jobs: `{v}`");
-                    std::process::exit(1);
-                }) as usize;
-            }
-            "--no-cache" => {
-                args.remove(i);
-                cfg.use_cache = false;
-            }
-            "--resume" => {
-                args.remove(i);
-                cfg.resume = true;
-            }
-            "--retries" => {
-                args.remove(i);
-                let v = take_value(&mut args, i, "--retries");
-                retries = parse_u64(&v).unwrap_or_else(|| {
-                    eprintln!("bad value for --retries: `{v}`");
-                    std::process::exit(1);
-                });
-            }
-            "--timeout-cycles" => {
-                args.remove(i);
-                let v = take_value(&mut args, i, "--timeout-cycles");
-                timeout_cycles = parse_u64(&v).filter(|&n| n > 0).unwrap_or_else(|| {
-                    eprintln!("bad value for --timeout-cycles: `{v}`");
-                    std::process::exit(1);
-                });
-            }
-            "--quiet" => {
-                args.remove(i);
-                global.quiet = true;
-            }
-            // `observe` keeps its own --trace-out (it names the *pipeline*
-            // trace, not the engine's job trace).
-            "--trace-out" if !observing => {
-                args.remove(i);
-                if i >= args.len() {
-                    eprintln!("--trace-out needs a path");
-                    std::process::exit(1);
-                }
-                global.trace_out = Some(args.remove(i));
-            }
-            _ => i += 1,
+/// Prints `msg` on stderr and exits 1: every usage and IO error.
+fn die(msg: impl std::fmt::Display) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(1);
+}
+
+/// The global flags, and everything else on the command line.
+#[derive(Debug)]
+struct Global {
+    cfg: ExecConfig,
+    quiet: bool,
+    trace_out: Option<String>,
+    /// The subcommand and its own arguments, in order.
+    command: Vec<String>,
+}
+
+/// Takes the global flags out of `args`, applying them to `cfg`; every
+/// other argument stays in [`Global::command`]. `observe` keeps its own
+/// `--trace-out` (it names the *pipeline* trace, not the engine's job
+/// trace).
+fn parse_global(mut cfg: ExecConfig, args: &[String]) -> Result<Global, String> {
+    let (mut quiet, mut trace_out, mut command) = (false, None, Vec::new());
+    let (mut retries, mut timeout_cycles) = (0, 0);
+    let positive = |flag: &str, n: u64| if n > 0 { Ok(n) } else { Err(format!("bad value for {flag}: `0`")) };
+    let mut f = Flags::new("global", args);
+    while let Some(a) = f.arg() {
+        match a {
+            "--jobs" => cfg.jobs = positive(a, f.num(a)?)? as usize,
+            "--no-cache" => cfg.use_cache = false,
+            "--resume" => cfg.resume = true,
+            "--retries" => retries = f.num(a)?,
+            "--timeout-cycles" => timeout_cycles = positive(a, f.num(a)?)?,
+            "--quiet" => quiet = true,
+            "--trace-out" if command.first().is_none_or(|c| c != "observe") => trace_out = Some(f.value(a)?),
+            other => command.push(other.to_string()),
         }
     }
     if retries > 0 || timeout_cycles > 0 {
         cfg.policy = RetryPolicy::bounded(retries, timeout_cycles);
     }
-    let engine = Engine::new(cfg);
+    Ok(Global { cfg, quiet, trace_out, command })
+}
 
-    if args.is_empty() || args[0] == "list" {
-        println!("available experiments:");
-        for e in experiments::all() {
-            println!("  {:8} {}", e.id, e.what);
+impl Global {
+    /// End-of-run chores: the stats line (unless `--quiet`) and the
+    /// engine job trace (when `--trace-out` was given).
+    fn finish(&self, engine: &Engine) -> Result<(), String> {
+        if !self.quiet {
+            eprintln!("{}", engine.stats_line());
         }
-        println!("  {:8} run every experiment", "all");
-        println!("  {:8} fault-injection campaign (--seed N --trials N --scale N --smoke --json PATH)", "faults");
-        println!("  {:8} static queue-discipline verification of catalog + transforms (--json PATH)", "lint");
-        println!(
-            "  {:8} catalog-wide branch classes, auto-CFD decisions, differential gates (--json PATH)",
-            "separability"
-        );
-        println!(
-            "  {:8} telemetry-armed run of one workload (--variant V --interval N --scale N --csv P --trace-out P)",
-            "observe"
-        );
-        println!(
-            "  {:8} host-side simulator throughput over the catalog (--scale N --json PATH --profile --append)",
-            "simperf"
-        );
-        println!(
-            "  {:8} IO-fault chaos sweep over cache + journal durability (--seed N --scale N --json PATH)",
-            "chaos"
-        );
-        println!("  {:8} checkpoint-determinism sweep: straight vs quarter-point-restored runs (--scale N)", "ckpt");
-        println!(
-            "  {:8} DSE sweep with IPC/MPKI/EDP Pareto frontier (--preset default|tiny --out PATH --serve SOCKET)",
-            "dse"
-        );
-        return;
+        if let Some(path) = &self.trace_out {
+            write_file(path, &engine.trace_json())?;
+            println!("engine trace written to {path}");
+        }
+        Ok(())
     }
-    if args[0] == "faults" {
-        run_fault_campaign(&engine, &global, &args[1..]);
-        return;
+}
+
+/// A subcommand's arguments, read left to right.
+struct Flags<'a> {
+    cmd: &'static str,
+    args: std::slice::Iter<'a, String>,
+}
+
+impl<'a> Flags<'a> {
+    fn new(cmd: &'static str, args: &'a [String]) -> Flags<'a> {
+        Flags { cmd, args: args.iter() }
     }
-    if args[0] == "chaos" {
-        run_chaos(&args[1..]);
-        return;
+
+    /// The next argument.
+    fn arg(&mut self) -> Option<&'a str> {
+        self.args.next().map(String::as_str)
     }
-    if args[0] == "simperf" {
-        run_simperf(&args[1..]);
-        return;
+
+    /// The value following `flag`.
+    fn value(&mut self, flag: &str) -> Result<String, String> {
+        self.args.next().cloned().ok_or_else(|| format!("{flag} needs a value"))
     }
-    if args[0] == "ckpt" {
-        run_ckpt(&args[1..]);
-        return;
+
+    /// The number following `flag`, decimal or `0x` hex.
+    fn num(&mut self, flag: &str) -> Result<u64, String> {
+        let v = self.value(flag)?;
+        parse_u64(&v).ok_or_else(|| format!("bad value for {flag}: `{v}`"))
     }
-    if args[0] == "dse" {
-        run_dse(&engine, &global, &args[1..]);
-        return;
+
+    /// The error for a flag this subcommand does not take.
+    fn unknown(&self, flag: &str) -> String {
+        format!("unknown {} option `{flag}`", self.cmd)
     }
-    if args[0] == "lint" {
-        run_lint(&engine, &global, &args[1..]);
-        return;
+}
+
+fn parse_u64(s: &str) -> Option<u64> {
+    match s.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => s.parse().ok(),
     }
-    if args[0] == "separability" {
-        run_separability(&args[1..]);
-        return;
+}
+
+/// Writes `body` to `path`, creating its parent directory.
+fn write_file(path: &str, body: &str) -> Result<(), String> {
+    if let Some(dir) = std::path::Path::new(path).parent().filter(|d| !d.as_os_str().is_empty()) {
+        std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
     }
-    if args[0] == "observe" {
-        run_observe(&args[1..]);
-        return;
+    std::fs::write(path, body).map_err(|e| format!("cannot write {path}: {e}"))
+}
+
+/// The `--json PATH` output: `-` prints the table on stdout, a path gets
+/// it written and a "`what` written to PATH" line.
+fn emit_json(path: Option<&str>, what: &str, json: impl FnOnce() -> String) -> Result<(), String> {
+    match path {
+        None => {}
+        Some("-") => println!("{}", json()),
+        Some(path) => {
+            write_file(path, &json())?;
+            println!("{what} written to {path}");
+        }
     }
-    let write_transcript = args[0] == "all";
+    Ok(())
+}
+
+/// The only flag `lint` and `separability` take: `--json PATH`.
+fn json_flag(cmd: &'static str, args: &[String]) -> Result<Option<String>, String> {
+    let mut json = None;
+    let mut f = Flags::new(cmd, args);
+    while let Some(a) = f.arg() {
+        match a {
+            "--json" => json = Some(f.value(a)?),
+            other => return Err(f.unknown(other)),
+        }
+    }
+    Ok(json)
+}
+
+fn run(global: Global) -> Result<(), String> {
+    let engine = Engine::new(global.cfg.clone());
+    let (cmd, args) = global.command.split_first().map_or(("list", &[][..]), |(c, a)| (c.as_str(), a));
+    match cmd {
+        "list" => list(),
+        "faults" => run_fault_campaign(&engine, &global, args),
+        "chaos" => run_chaos(args),
+        "simperf" => run_simperf(args),
+        "ckpt" => run_ckpt(args),
+        "dse" => run_dse(&engine, &global, args),
+        "lint" => run_lint(&engine, &global, args),
+        "separability" => run_separability(args),
+        "observe" => run_observe(args),
+        _ => run_experiments(&engine, &global),
+    }
+}
+
+/// The `list` lines after the catalog's experiments.
+const COMMANDS: [(&str, &str); 9] = [
+    ("all", "run every experiment"),
+    ("faults", "fault-injection campaign (--seed N --trials N --scale N --smoke --json PATH)"),
+    ("lint", "static queue-discipline verification of catalog + transforms (--json PATH)"),
+    ("separability", "catalog-wide branch classes, auto-CFD decisions, differential gates (--json PATH)"),
+    ("observe", "telemetry-armed run of one workload (--variant V --interval N --scale N --csv P --trace-out P)"),
+    ("simperf", "host-side simulator throughput over the catalog (--scale N --profile)"),
+    ("chaos", "IO-fault chaos sweep over cache + journal durability (--seed N --scale N --json PATH)"),
+    ("ckpt", "checkpoint-determinism sweep: straight vs quarter-point-restored runs (--scale N)"),
+    ("dse", "DSE sweep with IPC/MPKI/EDP Pareto frontier (--preset default|tiny --out PATH --serve SOCKET)"),
+];
+
+fn list() -> Result<(), String> {
+    println!("available experiments:");
+    for (id, what) in experiments::all().iter().map(|e| (e.id, e.what)).chain(COMMANDS) {
+        println!("  {id:8} {what}");
+    }
+    Ok(())
+}
+
+/// `experiments <id>...` and `experiments all`, which also writes the
+/// transcript.
+fn run_experiments(engine: &Engine, global: &Global) -> Result<(), String> {
+    let all = global.command[0] == "all";
     let ids: Vec<String> =
-        if args[0] == "all" { experiments::all().iter().map(|e| e.id.to_string()).collect() } else { args };
+        if all { experiments::all().iter().map(|e| e.id.to_string()).collect() } else { global.command.clone() };
     let mut transcript = String::new();
     for id in ids {
-        let Some(e) = experiments::by_id(&id) else {
-            eprintln!("unknown experiment `{id}` (try `list`)");
-            std::process::exit(1);
-        };
+        let e = experiments::by_id(&id).ok_or_else(|| format!("unknown experiment `{id}` (try `list`)"))?;
         let t0 = Instant::now();
         let header = format!(
             "==============================================================\n\
@@ -319,274 +337,147 @@ fn main() {
             e.id, e.what
         );
         print!("{header}");
-        let out = (e.run)(&engine);
+        let out = (e.run)(engine);
         println!("{out}");
         println!("[{} completed in {:.1}s]\n", e.id, t0.elapsed().as_secs_f64());
-        if write_transcript {
-            transcript.push_str(&header);
-            transcript.push_str(&out);
-            transcript.push_str("\n\n");
-        }
+        transcript.push_str(&header);
+        transcript.push_str(&out);
+        transcript.push_str("\n\n");
     }
-    if write_transcript {
+    if all {
         let path = "artifacts/experiments_output.txt";
-        std::fs::create_dir_all("artifacts").unwrap_or_else(|e| {
-            eprintln!("cannot create artifacts/: {e}");
-            std::process::exit(1);
-        });
-        std::fs::write(path, &transcript).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        });
+        write_file(path, &transcript)?;
         println!("transcript written to {path}");
     }
-    global.finish(&engine);
+    global.finish(engine)
 }
 
-fn run_observe(args: &[String]) {
+fn run_observe(args: &[String]) -> Result<(), String> {
     use cfd_bench::observe::{observe, parse_variant, variant_slug, ObserveOptions};
     let mut name: Option<String> = None;
     let mut opts = ObserveOptions::default();
-    let mut csv_path: Option<String> = None;
-    let mut trace_path: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut val = |what: &str| {
-            it.next().cloned().unwrap_or_else(|| {
-                eprintln!("{what} needs a value");
-                std::process::exit(1);
-            })
-        };
-        match a.as_str() {
+    let (mut csv_path, mut trace_path) = (None, None);
+    let mut f = Flags::new("observe", args);
+    while let Some(a) = f.arg() {
+        match a {
             "--variant" => {
-                let v = val("--variant");
-                opts.variant = parse_variant(&v).unwrap_or_else(|| {
-                    eprintln!("unknown variant `{v}` (try base, cfd, cfd+, dfd, ...)");
-                    std::process::exit(1);
-                });
+                let v = f.value(a)?;
+                opts.variant = parse_variant(&v)
+                    .ok_or_else(|| format!("unknown variant `{v}` (try base, cfd, cfd+, dfd, ...)"))?;
             }
-            "--interval" => {
-                let v = val("--interval");
-                opts.interval = parse_u64(&v).unwrap_or_else(|| {
-                    eprintln!("bad value for --interval: `{v}`");
-                    std::process::exit(1);
-                });
-            }
-            "--scale" => {
-                let v = val("--scale");
-                opts.scale.n = parse_u64(&v).unwrap_or_else(|| {
-                    eprintln!("bad value for --scale: `{v}`");
-                    std::process::exit(1);
-                }) as usize;
-            }
-            "--csv" => csv_path = Some(val("--csv")),
-            "--trace-out" => trace_path = Some(val("--trace-out")),
-            other if other.starts_with("--") => {
-                eprintln!("unknown observe option `{other}`");
-                std::process::exit(1);
-            }
+            "--interval" => opts.interval = f.num(a)?,
+            "--scale" => opts.scale.n = f.num(a)? as usize,
+            "--csv" => csv_path = Some(f.value(a)?),
+            "--trace-out" => trace_path = Some(f.value(a)?),
+            other if other.starts_with("--") => return Err(f.unknown(other)),
             other => {
                 if name.replace(other.to_string()).is_some() {
-                    eprintln!("observe takes exactly one workload");
-                    std::process::exit(1);
+                    return Err("observe takes exactly one workload".into());
                 }
             }
         }
     }
-    let Some(name) = name else {
-        eprintln!(
-            "usage: experiments observe <workload> [--variant V] [--interval N] [--scale N] [--csv P] [--trace-out P]"
-        );
-        std::process::exit(1);
-    };
-    let obs = observe(&name, &opts).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(1);
-    });
+    let name = name.ok_or(
+        "usage: experiments observe <workload> [--variant V] [--interval N] [--scale N] [--csv P] [--trace-out P]",
+    )?;
+    let obs = observe(&name, &opts)?;
     let slug = variant_slug(obs.variant);
     let csv_path = csv_path.unwrap_or_else(|| format!("artifacts/observe_{name}_{slug}.csv"));
     let trace_path = trace_path.unwrap_or_else(|| format!("artifacts/observe_{name}_{slug}.trace.json"));
     print!("{}", obs.render());
-    for (path, content) in [(&csv_path, obs.csv()), (&trace_path, obs.trace_json())] {
-        if let Some(dir) = std::path::Path::new(path).parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir).unwrap_or_else(|e| {
-                    eprintln!("cannot create {}: {e}", dir.display());
-                    std::process::exit(1);
-                });
-            }
-        }
-        std::fs::write(path, content).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        });
-    }
+    write_file(&csv_path, &obs.csv())?;
+    write_file(&trace_path, &obs.trace_json())?;
     println!("\ntime series written to {csv_path}");
     println!("pipeline trace written to {trace_path} (load in ui.perfetto.dev)");
+    Ok(())
 }
 
 /// `experiments dse`: expand a preset grid, evaluate every point, print
 /// the per-point table and Pareto frontier. With `--serve SOCKET` the
 /// sweep runs on a `cfd-serve` daemon instead of in-process; the report
 /// bytes are identical either way.
-fn run_dse(engine: &Engine, global: &Global, args: &[String]) {
+fn run_dse(engine: &Engine, global: &Global, args: &[String]) -> Result<(), String> {
     use cfd_serve::SweepConfig;
     let mut preset = "default".to_string();
-    let mut out_path: Option<String> = None;
-    let mut serve_socket: Option<String> = None;
-    let mut log_path: Option<String> = None;
+    let (mut out_path, mut serve_socket, mut log_path) = (None, None, None);
     let mut log_level = cfd_obs::Level::Debug;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut val = |what: &str| {
-            it.next().cloned().unwrap_or_else(|| {
-                eprintln!("{what} needs a value");
-                std::process::exit(1);
-            })
-        };
-        match a.as_str() {
-            "--preset" => preset = val("--preset"),
-            "--out" => out_path = Some(val("--out")),
-            "--serve" => serve_socket = Some(val("--serve")),
-            "--log" => log_path = Some(val("--log")),
-            "--log-level" => {
-                let v = val("--log-level");
-                log_level = cfd_obs::Level::parse(&v).unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    std::process::exit(1);
-                });
-            }
-            other => {
-                eprintln!("unknown dse option `{other}`");
-                std::process::exit(1);
-            }
+    let mut f = Flags::new("dse", args);
+    while let Some(a) = f.arg() {
+        match a {
+            "--preset" => preset = f.value(a)?,
+            "--out" => out_path = Some(f.value(a)?),
+            "--serve" => serve_socket = Some(f.value(a)?),
+            "--log" => log_path = Some(f.value(a)?),
+            "--log-level" => log_level = cfd_obs::Level::parse(&f.value(a)?)?,
+            other => return Err(f.unknown(other)),
         }
     }
     // --log attaches a file-only JSONL event sink to the engine (level
     // --log-level, default debug). File-only on purpose: stderr and the
     // golden transcript stay byte-identical with and without it.
     if let Some(path) = &log_path {
-        let log = cfd_obs::EventLog::new(log_level).with_file(std::path::Path::new(path)).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(1);
-        });
+        let log = cfd_obs::EventLog::new(log_level).with_file(std::path::Path::new(path))?;
         engine.set_log(Some(std::sync::Arc::new(log)));
     }
-    let cfg = SweepConfig::preset(&preset).unwrap_or_else(|| {
-        eprintln!("unknown preset `{preset}` (have: default, tiny)");
-        std::process::exit(1);
-    });
+    let cfg = SweepConfig::preset(&preset).ok_or_else(|| format!("unknown preset `{preset}` (have: default, tiny)"))?;
     let t0 = Instant::now();
     let points = cfg.expand().map(|p| p.len()).unwrap_or(0);
     eprintln!("dse sweep: {} ({} grid points, preset `{preset}`)", cfg.describe(), points);
     let report = match &serve_socket {
         Some(socket) => dse_via_daemon(socket, &cfg),
-        None => cfd_serve::run_sweep(engine, &cfg).unwrap_or_else(|e| {
-            eprintln!("dse sweep failed: {e}");
-            std::process::exit(2);
-        }),
-    };
+        None => cfd_serve::run_sweep(engine, &cfg).map_err(|e| format!("dse sweep failed: {e}")),
+    }
+    .unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
     match &out_path {
         Some(path) => {
-            if let Some(dir) = std::path::Path::new(path).parent() {
-                if !dir.as_os_str().is_empty() {
-                    std::fs::create_dir_all(dir).unwrap_or_else(|e| {
-                        eprintln!("cannot create {}: {e}", dir.display());
-                        std::process::exit(1);
-                    });
-                }
-            }
-            std::fs::write(path, &report).unwrap_or_else(|e| {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
-            });
+            write_file(path, &report)?;
             println!("DSE report written to {path}");
         }
         None => print!("{report}"),
     }
     println!("[dse completed in {:.1}s: {points} grid points]", t0.elapsed().as_secs_f64());
     if serve_socket.is_none() {
-        global.finish(engine);
+        global.finish(engine)?;
     }
+    Ok(())
 }
 
 /// Submits the sweep to a running daemon and returns its report.
 #[cfg(unix)]
-fn dse_via_daemon(socket: &str, cfg: &cfd_serve::SweepConfig) -> String {
-    let outcome = cfd_serve::submit_and_wait(std::path::Path::new(socket), cfg).unwrap_or_else(|e| {
-        eprintln!("dse sweep failed on daemon {socket}: {e}");
-        std::process::exit(2);
-    });
+fn dse_via_daemon(socket: &str, cfg: &cfd_serve::SweepConfig) -> Result<String, String> {
+    let outcome = cfd_serve::submit_and_wait(std::path::Path::new(socket), cfg)
+        .map_err(|e| format!("dse sweep failed on daemon {socket}: {e}"))?;
     eprintln!("{}", cfd_serve::outcome_line(&outcome));
-    outcome.report
+    Ok(outcome.report)
 }
 
 #[cfg(not(unix))]
-fn dse_via_daemon(_socket: &str, _cfg: &cfd_serve::SweepConfig) -> String {
-    eprintln!("--serve requires Unix-domain sockets; run without --serve on this platform");
-    std::process::exit(1);
+fn dse_via_daemon(_socket: &str, _cfg: &cfd_serve::SweepConfig) -> Result<String, String> {
+    die("--serve requires Unix-domain sockets; run without --serve on this platform")
 }
 
-fn run_simperf(args: &[String]) {
+fn run_simperf(args: &[String]) -> Result<(), String> {
     use cfd_bench::simperf;
-    use cfd_workloads::Scale;
     let mut scale = Scale::default();
-    let mut json_path: Option<String> = None;
-    let mut min_kips: Option<f64> = None;
-    let mut min_kips_hard: Option<f64> = None;
-    let mut with_profile = false;
-    let mut append = false;
-    let mut sampled = false;
-    let mut max_err = 10.0f64;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut val = |what: &str| {
-            it.next().cloned().unwrap_or_else(|| {
-                eprintln!("{what} needs a value");
-                std::process::exit(1);
-            })
-        };
-        match a.as_str() {
-            "--scale" => {
-                let v = val("--scale");
-                scale.n = parse_u64(&v).unwrap_or_else(|| {
-                    eprintln!("bad value for --scale: `{v}`");
-                    std::process::exit(1);
-                }) as usize;
-            }
-            "--json" => json_path = Some(val("--json")),
+    let (mut min_kips, mut min_kips_hard) = (None, None);
+    let (mut with_profile, mut sampled, mut max_err) = (false, false, 10.0);
+    let mut f = Flags::new("simperf", args);
+    while let Some(a) = f.arg() {
+        match a {
+            "--scale" => scale.n = f.num(a)? as usize,
             "--profile" => with_profile = true,
-            "--append" => append = true,
-            "--min-kips" => {
-                let v = val("--min-kips");
-                min_kips = Some(parse_u64(&v).unwrap_or_else(|| {
-                    eprintln!("bad value for --min-kips: `{v}`");
-                    std::process::exit(1);
-                }) as f64);
-            }
-            "--min-kips-hard" => {
-                let v = val("--min-kips-hard");
-                min_kips_hard = Some(parse_u64(&v).unwrap_or_else(|| {
-                    eprintln!("bad value for --min-kips-hard: `{v}`");
-                    std::process::exit(1);
-                }) as f64);
-            }
+            "--min-kips" => min_kips = Some(f.num(a)? as f64),
+            "--min-kips-hard" => min_kips_hard = Some(f.num(a)? as f64),
             "--sampled" => sampled = true,
-            "--max-err" => {
-                let v = val("--max-err");
-                max_err = parse_u64(&v).unwrap_or_else(|| {
-                    eprintln!("bad value for --max-err: `{v}`");
-                    std::process::exit(1);
-                }) as f64;
-            }
-            other => {
-                eprintln!("unknown simperf option `{other}`");
-                std::process::exit(1);
-            }
+            "--max-err" => max_err = f.num(a)? as f64,
+            other => return Err(f.unknown(other)),
         }
     }
+    let t0 = Instant::now();
     if sampled {
-        let t0 = Instant::now();
         let rows = simperf::run_catalog_sampled(scale, cfd_core::SampleConfig::default());
         print!("{}", simperf::sampled_table(&rows));
         let over = simperf::sampled_over_bound(&rows, max_err);
@@ -608,124 +499,57 @@ fn run_simperf(args: &[String]) {
         if !over.is_empty() {
             std::process::exit(4);
         }
-        return;
+        return Ok(());
     }
-    let t0 = Instant::now();
     let mut profile = with_profile.then(cfd_core::StageProfile::default);
     let rows = simperf::run_catalog(scale, profile.as_mut());
     print!("{}", simperf::table(&rows));
     if let Some(p) = &profile {
         print!("{}", simperf::profile_table(p));
     }
-    if let Some(floor) = min_kips {
-        for r in simperf::below_floor(&rows, floor) {
-            eprintln!(
-                "[simperf] WARNING: {} [{}] simulated at {:.0} KIPS, below the {floor:.0} KIPS soft floor",
-                r.name,
-                r.variant.label(),
-                r.kips
-            );
-        }
-    }
-    let hard_floor_broken = min_kips_hard.is_some_and(|floor| {
+    // Warns on stderr for every workload under `floor`; true if any was.
+    let below = |floor: f64, level: &str, kind: &str| {
         let slow = simperf::below_floor(&rows, floor);
         for r in &slow {
             eprintln!(
-                "[simperf] ERROR: {} [{}] simulated at {:.0} KIPS, below the {floor:.0} KIPS hard floor",
+                "[simperf] {level}: {} [{}] simulated at {:.0} KIPS, below the {floor:.0} KIPS {kind} floor",
                 r.name,
                 r.variant.label(),
                 r.kips
             );
         }
         !slow.is_empty()
-    });
-    let ts = std::time::SystemTime::now().duration_since(std::time::SystemTime::UNIX_EPOCH).map_or(0, |d| d.as_secs());
-    let record = simperf::history_record(&rows, profile.as_ref(), ts, scale.n);
-    let json_path = json_path.unwrap_or_else(|| "artifacts/BENCH_simperf.json".to_string());
-    if json_path == "-" {
-        println!("{record}");
-    } else {
-        if let Some(dir) = std::path::Path::new(&json_path).parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir).unwrap_or_else(|e| {
-                    eprintln!("cannot create {}: {e}", dir.display());
-                    std::process::exit(1);
-                });
-            }
-        }
-        let write = |path: &str| {
-            if append {
-                use std::io::Write as _;
-                std::fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(path)
-                    .and_then(|mut f| writeln!(f, "{record}"))
-            } else {
-                std::fs::write(path, format!("{record}\n"))
-            }
-        };
-        write(&json_path).unwrap_or_else(|e| {
-            eprintln!("cannot write {json_path}: {e}");
-            std::process::exit(1);
-        });
-        println!("timing record {} {json_path}", if append { "appended to" } else { "written to" });
+    };
+    if let Some(floor) = min_kips {
+        below(floor, "WARNING", "soft");
     }
+    let hard_floor_broken = min_kips_hard.is_some_and(|floor| below(floor, "ERROR", "hard"));
     println!("[simperf completed in {:.1}s: {} workloads]", t0.elapsed().as_secs_f64(), rows.len());
     if hard_floor_broken {
         std::process::exit(3);
     }
+    Ok(())
 }
 
-fn run_ckpt(args: &[String]) {
+fn run_ckpt(args: &[String]) -> Result<(), String> {
     use cfd_bench::ckpt;
-    use cfd_workloads::Scale;
     let mut scale = Scale::default();
     let mut straight_out = "artifacts/ckpt_straight.json".to_string();
     let mut restored_out = "artifacts/ckpt_restored.json".to_string();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut val = |what: &str| {
-            it.next().cloned().unwrap_or_else(|| {
-                eprintln!("{what} needs a value");
-                std::process::exit(1);
-            })
-        };
-        match a.as_str() {
-            "--scale" => {
-                let v = val("--scale");
-                scale.n = parse_u64(&v).unwrap_or_else(|| {
-                    eprintln!("bad value for --scale: `{v}`");
-                    std::process::exit(1);
-                }) as usize;
-            }
-            "--straight-out" => straight_out = val("--straight-out"),
-            "--restored-out" => restored_out = val("--restored-out"),
-            other => {
-                eprintln!("unknown ckpt option `{other}`");
-                std::process::exit(1);
-            }
+    let mut f = Flags::new("ckpt", args);
+    while let Some(a) = f.arg() {
+        match a {
+            "--scale" => scale.n = f.num(a)? as usize,
+            "--straight-out" => straight_out = f.value(a)?,
+            "--restored-out" => restored_out = f.value(a)?,
+            other => return Err(f.unknown(other)),
         }
     }
     let t0 = Instant::now();
     let rows = ckpt::run_catalog_ckpt(scale);
     print!("{}", ckpt::table(&rows));
-    let write = |path: &str, body: String| {
-        if let Some(dir) = std::path::Path::new(path).parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir).unwrap_or_else(|e| {
-                    eprintln!("cannot create {}: {e}", dir.display());
-                    std::process::exit(1);
-                });
-            }
-        }
-        std::fs::write(path, body).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        });
-    };
-    write(&straight_out, ckpt::straight_lines(&rows));
-    write(&restored_out, ckpt::restored_lines(&rows));
+    write_file(&straight_out, &ckpt::straight_lines(&rows))?;
+    write_file(&restored_out, &ckpt::restored_lines(&rows))?;
     println!("report lines written to {straight_out} and {restored_out}");
     println!("[ckpt completed in {:.1}s: {} workloads]", t0.elapsed().as_secs_f64(), rows.len());
     for r in rows.iter().filter(|r| !r.ok()) {
@@ -739,85 +563,37 @@ fn run_ckpt(args: &[String]) {
     if rows.iter().any(|r| !r.ok()) {
         std::process::exit(2);
     }
+    Ok(())
 }
 
-fn run_lint(engine: &Engine, global: &Global, args: &[String]) {
-    let mut json_path: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--json" => {
-                json_path = Some(it.next().cloned().unwrap_or_else(|| {
-                    eprintln!("--json needs a path");
-                    std::process::exit(1);
-                }))
-            }
-            other => {
-                eprintln!("unknown lint option `{other}`");
-                std::process::exit(1);
-            }
-        }
-    }
+fn run_lint(engine: &Engine, global: &Global, args: &[String]) -> Result<(), String> {
+    use cfd_bench::lint;
+    let json = json_flag("lint", args)?;
     let t0 = Instant::now();
-    let rows = cfd_bench::lint::lint_all_on(engine);
-    print!("{}", cfd_bench::lint::table(&rows));
-    match json_path.as_deref() {
-        Some("-") => println!("{}", cfd_bench::lint::to_json(&rows)),
-        Some(path) => {
-            std::fs::write(path, cfd_bench::lint::to_json(&rows)).unwrap_or_else(|e| {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
-            });
-            println!("lint table written to {path}");
-        }
-        None => {}
-    }
-    let errors = cfd_bench::lint::error_count(&rows);
+    let rows = lint::lint_all_on(engine);
+    print!("{}", lint::table(&rows));
+    emit_json(json.as_deref(), "lint table", || lint::to_json(&rows))?;
+    let errors = lint::error_count(&rows);
     println!(
         "[lint completed in {:.1}s: {} programs, {} error finding(s)]",
         t0.elapsed().as_secs_f64(),
         rows.len(),
         errors
     );
-    global.finish(engine);
+    global.finish(engine)?;
     if errors > 0 {
         std::process::exit(2);
     }
+    Ok(())
 }
 
-fn run_separability(args: &[String]) {
+fn run_separability(args: &[String]) -> Result<(), String> {
     use cfd_bench::separability;
-    use cfd_workloads::Scale;
-    let mut json_path: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--json" => {
-                json_path = Some(it.next().cloned().unwrap_or_else(|| {
-                    eprintln!("--json needs a path");
-                    std::process::exit(1);
-                }))
-            }
-            other => {
-                eprintln!("unknown separability option `{other}`");
-                std::process::exit(1);
-            }
-        }
-    }
+    let json = json_flag("separability", args)?;
     let t0 = Instant::now();
     let rows = separability::run_separability(Scale { n: 400, seed: 9 });
     print!("{}", separability::table(&rows));
-    match json_path.as_deref() {
-        Some("-") => println!("{}", separability::to_json(&rows)),
-        Some(path) => {
-            std::fs::write(path, separability::to_json(&rows)).unwrap_or_else(|e| {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
-            });
-            println!("separability table written to {path}");
-        }
-        None => {}
-    }
+    emit_json(json.as_deref(), "separability table", || separability::to_json(&rows))?;
     let ok = separability::gate_ok(&rows);
     println!(
         "[separability completed in {:.1}s: {} branches, gates {}]",
@@ -828,53 +604,26 @@ fn run_separability(args: &[String]) {
     if !ok {
         std::process::exit(2);
     }
+    Ok(())
 }
 
-fn run_chaos(args: &[String]) {
+fn run_chaos(args: &[String]) -> Result<(), String> {
     let mut cfg = ChaosConfig::default();
-    let mut json_path: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut num = |what: &str| -> u64 {
-            let v = it.next().unwrap_or_else(|| {
-                eprintln!("{what} needs a value");
-                std::process::exit(1);
-            });
-            parse_u64(v).unwrap_or_else(|| {
-                eprintln!("bad value for {what}: `{v}`");
-                std::process::exit(1);
-            })
-        };
-        match a.as_str() {
-            "--seed" => cfg.seed = num("--seed"),
-            "--scale" => cfg.scale_n = num("--scale") as usize,
-            "--json" => {
-                json_path = Some(it.next().cloned().unwrap_or_else(|| {
-                    eprintln!("--json needs a path");
-                    std::process::exit(1);
-                }))
-            }
-            other => {
-                eprintln!("unknown chaos option `{other}`");
-                std::process::exit(1);
-            }
+    let mut json = None;
+    let mut f = Flags::new("chaos", args);
+    while let Some(a) = f.arg() {
+        match a {
+            "--seed" => cfg.seed = f.num(a)?,
+            "--scale" => cfg.scale_n = f.num(a)? as usize,
+            "--json" => json = Some(f.value(a)?),
+            other => return Err(f.unknown(other)),
         }
     }
     let t0 = Instant::now();
     println!("exec chaos sweep: seed {:#x}, scale {}, cache root {}", cfg.seed, cfg.scale_n, cfg.cache_root.display());
     let report = run_exec_chaos(&cfg);
     println!("{}", report.table());
-    match json_path.as_deref() {
-        Some("-") => println!("{}", report.to_json()),
-        Some(path) => {
-            std::fs::write(path, report.to_json()).unwrap_or_else(|e| {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
-            });
-            println!("verdict table written to {path}");
-        }
-        None => {}
-    }
+    emit_json(json.as_deref(), "verdict table", || report.to_json())?;
     let silent = report.silent_divergences();
     println!(
         "[chaos completed in {:.1}s: {} scenarios, {} contract violations]",
@@ -885,38 +634,21 @@ fn run_chaos(args: &[String]) {
     if silent > 0 {
         std::process::exit(2);
     }
+    Ok(())
 }
 
-fn run_fault_campaign(engine: &Engine, global: &Global, args: &[String]) {
+fn run_fault_campaign(engine: &Engine, global: &Global, args: &[String]) -> Result<(), String> {
     let mut cfg = CampaignConfig::default();
-    let mut json_path: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut num = |what: &str| -> u64 {
-            let v = it.next().unwrap_or_else(|| {
-                eprintln!("{what} needs a value");
-                std::process::exit(1);
-            });
-            parse_u64(v).unwrap_or_else(|| {
-                eprintln!("bad value for {what}: `{v}`");
-                std::process::exit(1);
-            })
-        };
-        match a.as_str() {
-            "--seed" => cfg.seed = num("--seed"),
-            "--trials" => cfg.trials_per_pair = num("--trials") as usize,
-            "--scale" => cfg.scale_n = num("--scale") as usize,
+    let mut json = None;
+    let mut f = Flags::new("campaign", args);
+    while let Some(a) = f.arg() {
+        match a {
+            "--seed" => cfg.seed = f.num(a)?,
+            "--trials" => cfg.trials_per_pair = f.num(a)? as usize,
+            "--scale" => cfg.scale_n = f.num(a)? as usize,
             "--smoke" => cfg.scale_n = 40,
-            "--json" => {
-                json_path = Some(it.next().cloned().unwrap_or_else(|| {
-                    eprintln!("--json needs a path");
-                    std::process::exit(1);
-                }))
-            }
-            other => {
-                eprintln!("unknown campaign option `{other}`");
-                std::process::exit(1);
-            }
+            "--json" => json = Some(f.value(a)?),
+            other => return Err(f.unknown(other)),
         }
     }
     let t0 = Instant::now();
@@ -930,17 +662,7 @@ fn run_fault_campaign(engine: &Engine, global: &Global, args: &[String]) {
     );
     let report = run_campaign_on(engine, &cfg);
     println!("{}", report.table());
-    match json_path.as_deref() {
-        Some("-") => println!("{}", report.to_json()),
-        Some(path) => {
-            std::fs::write(path, report.to_json()).unwrap_or_else(|e| {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
-            });
-            println!("verdict table written to {path}");
-        }
-        None => {}
-    }
+    emit_json(json.as_deref(), "verdict table", || report.to_json())?;
     let silent = report.silent_divergences();
     println!(
         "[faults completed in {:.1}s: {} trials, {} contract violations]",
@@ -948,27 +670,49 @@ fn run_fault_campaign(engine: &Engine, global: &Global, args: &[String]) {
         report.outcomes.len(),
         silent
     );
-    global.finish(engine);
+    global.finish(engine)?;
     if silent > 0 {
         std::process::exit(2);
     }
+    Ok(())
 }
 
-/// Pops the value following a global flag out of the arg vector (the
-/// flag itself has already been removed at index `i`).
-fn take_value(args: &mut Vec<String>, i: usize, flag: &str) -> String {
-    if i < args.len() {
-        args.remove(i)
-    } else {
-        eprintln!("{flag} needs a value");
-        std::process::exit(1);
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn global(line: &str) -> Result<Global, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse_global(ExecConfig::default(), &args)
     }
-}
 
-fn parse_u64(s: &str) -> Option<u64> {
-    if let Some(hex) = s.strip_prefix("0x") {
-        u64::from_str_radix(hex, 16).ok()
-    } else {
-        s.parse().ok()
+    #[test]
+    fn global_flags_leave_the_command_in_order() {
+        let g = global("--jobs 2 lint --no-cache --json x").unwrap();
+        assert_eq!(g.cfg.jobs, 2);
+        assert!(!g.cfg.use_cache);
+        assert_eq!(g.command, ["lint", "--json", "x"]);
+        let g = global("faults --retries 2 --timeout-cycles 0x100 --resume --quiet").unwrap();
+        assert_eq!(g.cfg.policy, RetryPolicy::bounded(2, 256));
+        assert!(g.cfg.resume && g.quiet);
+        assert_eq!(g.command, ["faults"]);
+    }
+
+    #[test]
+    fn observe_keeps_its_own_trace_out() {
+        let g = global("observe w --trace-out p").unwrap();
+        assert_eq!(g.trace_out, None);
+        assert_eq!(g.command, ["observe", "w", "--trace-out", "p"]);
+        let g = global("dse --trace-out p --preset tiny").unwrap();
+        assert_eq!(g.trace_out.as_deref(), Some("p"));
+        assert_eq!(g.command, ["dse", "--preset", "tiny"]);
+    }
+
+    #[test]
+    fn jobs_parse_hex_and_reject_zero() {
+        assert_eq!(global("--jobs 0x10 all").unwrap().cfg.jobs, 16);
+        assert!(global("--jobs 0 all").is_err());
+        assert!(global("--jobs two all").is_err());
+        assert!(global("all --jobs").is_err());
     }
 }

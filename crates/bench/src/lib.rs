@@ -13,8 +13,8 @@
 //! cargo run --release -p cfd-bench --bin experiments -- all
 //! ```
 //!
-//! Criterion microbenchmarks of the simulator's own structures live in
-//! `benches/microbench.rs` (`cargo bench -p cfd-bench`).
+//! Per-layer timings of the simulator's own structures come from the
+//! standalone benchmark in `perfbench/`.
 
 pub mod ckpt;
 pub mod experiments;

@@ -14,8 +14,9 @@ use cfd_analysis::{
     apply_cfd, apply_cfd_spec, apply_cfd_tq, classify_program, lint_program, BranchClass, ClassifyConfig, Diagnostic,
     LintConfig, LintReport, QueueBounds, Rule, Severity,
 };
-use cfd_exec::{CampaignJob, Engine, Fingerprint, Hasher, Json};
+use cfd_exec::{CampaignJob, Engine, Fingerprint, Hasher};
 use cfd_isa::{Assembler, Program, QueueKind, Reg};
+use cfd_obs::json::{quote, Json};
 use cfd_workloads::{catalog, PaperClass, Scale, Variant};
 
 /// One linted program: where it came from and what the verifier said.
@@ -218,13 +219,13 @@ pub fn to_json(rows: &[LintRow]) -> String {
             s.push(',');
         }
         let classes: Vec<String> =
-            r.classes.iter().map(|(pc, c)| format!("{{\"pc\":{pc},\"class\":\"{c}\"}}")).collect();
+            r.classes.iter().map(|(pc, c)| format!("{{\"pc\":{pc},\"class\":{}}}", quote(c))).collect();
         s.push_str(&format!(
-            "{{\"kernel\":\"{}\",\"variant\":\"{}\",\"classes\":[{}],\"report\":{}}}",
-            r.kernel,
-            r.variant,
+            "{{\"kernel\":{},\"variant\":{},\"classes\":[{}],\"report\":{}}}",
+            quote(&r.kernel),
+            quote(&r.variant),
             classes.join(","),
-            r.report.to_json()
+            report_to_json(&r.report)
         ));
     }
     s.push(']');
@@ -331,7 +332,7 @@ impl CampaignJob for LintJob {
     fn result_to_json(out: &Option<LintReport>) -> String {
         match out {
             None => "{\"ok\":false}".to_string(),
-            Some(r) => format!("{{\"ok\":true,\"report\":{}}}", r.to_json()),
+            Some(r) => format!("{{\"ok\":true,\"report\":{}}}", report_to_json(r)),
         }
     }
 
@@ -343,7 +344,38 @@ impl CampaignJob for LintJob {
     }
 }
 
-/// Reconstructs a [`LintReport`] from the JSON its `to_json` emits.
+/// Deterministic JSON rendering of one [`LintReport`]; [`report_from_json`]
+/// reads it back.
+fn report_to_json(r: &LintReport) -> String {
+    let opt = |x: Option<u64>| x.map_or("null".to_string(), |v| v.to_string());
+    let opt_str = |x: Option<&str>| x.map_or("null".to_string(), quote);
+    let mut s = format!(
+        "{{\"clean\":{},\"bounds\":{{\"bq\":{},\"vq\":{},\"tq\":{}}},\"diagnostics\":[",
+        r.clean(),
+        opt(r.bounds.bq),
+        opt(r.bounds.vq),
+        opt(r.bounds.tq)
+    );
+    for (i, d) in r.diagnostics.iter().enumerate() {
+        if i > 0 {
+            s.push(',');
+        }
+        s.push_str(&format!(
+            "{{\"rule\":{},\"severity\":{},\"queue\":{},\"pc\":{},\"label\":{},\"annotation\":{},\"message\":{}}}",
+            quote(d.rule.name()),
+            quote(d.severity.name()),
+            opt_str(d.queue.map(|q| q.name())),
+            opt(d.pc.map(u64::from)),
+            opt_str(d.label.as_deref()),
+            opt_str(d.annotation.as_deref()),
+            quote(&d.message)
+        ));
+    }
+    s.push_str("]}");
+    s
+}
+
+/// Reconstructs a [`LintReport`] from the JSON [`report_to_json`] emits.
 fn report_from_json(v: &Json) -> Option<LintReport> {
     let b = v.get("bounds")?;
     let bounds =
@@ -478,15 +510,32 @@ pub fn lint_all_on(engine: &Engine) -> Vec<LintRow> {
         .collect()
 }
 
-/// The variants the catalog exercises, for reference in reports.
-pub fn variant_universe() -> Vec<Variant> {
-    let mut vs = Vec::new();
-    for entry in catalog() {
-        for &v in entry.variants {
-            if !vs.contains(&v) {
-                vs.push(v);
-            }
-        }
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn report_json_is_escaped_and_round_trips() {
+        let d = Diagnostic {
+            rule: Rule::Overflow,
+            severity: Severity::Error,
+            queue: Some(QueueKind::Tq),
+            pc: Some(1),
+            label: Some("body".into()),
+            annotation: None,
+            message: "needs \"quotes\"\nand\ttab".into(),
+        };
+        let report = LintReport { diagnostics: vec![d], bounds: QueueBounds { bq: Some(64), vq: Some(0), tq: None } };
+        let j = report_to_json(&report);
+        assert_eq!(j, report_to_json(&report));
+        assert!(j.starts_with("{\"clean\":false,\"bounds\":{\"bq\":64,\"vq\":0,\"tq\":null}"), "{j}");
+        assert!(j.contains("\\\"quotes\\\"\\nand\\ttab"), "{j}");
+        assert!(!report.clean());
+        assert_eq!(report.error_count(), 1);
+        assert_eq!(report_from_json(&Json::parse(&j).unwrap()), Some(report));
+        let clean = LintReport { diagnostics: vec![], bounds: QueueBounds { bq: Some(1), vq: Some(0), tq: Some(0) } };
+        let j = report_to_json(&clean);
+        assert!(j.starts_with("{\"clean\":true"), "{j}");
+        assert_eq!(report_from_json(&Json::parse(&j).unwrap()), Some(clean));
     }
-    vs
 }

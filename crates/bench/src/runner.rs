@@ -38,12 +38,6 @@ pub fn run(workload: &Workload, cfg: &CoreConfig) -> RunReport {
         .unwrap_or_else(|e| panic!("{} [{}] failed: {e}", workload.name, workload.variant))
 }
 
-/// Builds and runs a catalog entry variant on a configuration.
-pub fn run_variant(entry: &CatalogEntry, variant: Variant, scale: Scale, cfg: &CoreConfig) -> RunReport {
-    let w = entry.build(variant, scale);
-    run(&w, cfg)
-}
-
 /// A ticket for one job submitted to a [`Batch`]; redeem it against the
 /// [`Results`] the batch returns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

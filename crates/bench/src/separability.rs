@@ -18,6 +18,7 @@
 use cfd_analysis::{apply_cfd_spec, classify_program, BranchClass, ClassifyConfig};
 use cfd_harden::check_disjoint_claims;
 use cfd_isa::Reg;
+use cfd_obs::json::quote;
 use cfd_workloads::{catalog, Scale, Variant, Workload};
 
 /// Functional-simulation step budget for the equivalence and claim
@@ -199,7 +200,6 @@ pub fn table(rows: &[SeparabilityRow]) -> String {
 
 /// Deterministic JSON rendering of separability rows.
 pub fn to_json(rows: &[SeparabilityRow]) -> String {
-    let jstr = |s: &str| format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""));
     let mut s = String::from("[");
     for (i, r) in rows.iter().enumerate() {
         if i > 0 {
@@ -209,7 +209,7 @@ pub fn to_json(rows: &[SeparabilityRow]) -> String {
             None => "null".to_string(),
             Some(a) => format!(
                 "{{\"decision\":{},\"hoisted_loads\":{},\"lint_errors\":{},\"equivalent\":{}}}",
-                jstr(&a.decision),
+                quote(&a.decision),
                 a.hoisted_loads,
                 a.lint_errors,
                 a.equivalent
@@ -217,17 +217,17 @@ pub fn to_json(rows: &[SeparabilityRow]) -> String {
         };
         let error = match &r.error {
             None => "null".to_string(),
-            Some(e) => jstr(e),
+            Some(e) => quote(e),
         };
         s.push_str(&format!(
             "{{\"kernel\":{},\"pc\":{},\"class\":{},\"heuristic_class\":{},\"decision\":{},\
              \"slice_loads\":{},\"proven_safe_loads\":{},\"unsafe_loads\":{},\"claims\":{},\
              \"contradicted\":{},\"applied\":{},\"error\":{}}}",
-            jstr(&r.kernel),
+            quote(&r.kernel),
             r.pc,
-            jstr(&r.class),
-            jstr(&r.heuristic_class),
-            jstr(&r.decision),
+            quote(&r.class),
+            quote(&r.heuristic_class),
+            quote(&r.decision),
             r.slice_loads,
             r.proven_safe_loads,
             r.unsafe_loads,
@@ -259,4 +259,32 @@ pub fn gate_ok(rows: &[SeparabilityRow]) -> bool {
             && r.applied.as_ref().is_some_and(|a| a.lint_errors == 0 && a.equivalent && r.contradicted == 0)
     });
     sound && upgraded
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cfd_obs::json::Json;
+
+    #[test]
+    fn json_escapes_control_characters_in_row_strings() {
+        let row = SeparabilityRow {
+            kernel: "k".to_string(),
+            pc: 3,
+            class: "inseparable".to_string(),
+            heuristic_class: "inseparable".to_string(),
+            decision: "none".to_string(),
+            slice_loads: 0,
+            proven_safe_loads: 0,
+            unsafe_loads: 0,
+            claims: 0,
+            contradicted: 0,
+            applied: None,
+            error: Some("a\nb\tc".to_string()),
+        };
+        let json = to_json(&[row]);
+        assert!(json.contains("\"error\":\"a\\nb\\tc\""), "{json}");
+        let parsed = Json::parse(&json).expect("valid JSON");
+        assert_eq!(parsed.as_arr().unwrap()[0].get("error").unwrap().as_str(), Some("a\nb\tc"));
+    }
 }

@@ -6,9 +6,10 @@
 //! Wall-clock time is deliberately *outside* the deterministic surface:
 //! the simulated results (retired, cycles) are byte-stable run to run, the
 //! timings are whatever the host delivers, and nothing here is cached —
-//! a cached timing would measure the cache, not the simulator. This is the
-//! regression harness for scheduler-efficiency work (e.g. the event-driven
-//! wakeup rework): compare `kips` columns across commits on the same host.
+//! a cached timing would measure the cache, not the simulator. It backs
+//! `scripts/verify.sh`'s KIPS floors, profiled stage-shares line and
+//! sampled-mode error bound; the throughput trajectory across commits is
+//! the committed `BENCH_perf.json` (`scripts/bench.sh`).
 
 use crate::runner::CYCLE_LIMIT;
 use cfd_core::{run_sampled, Core, CoreConfig, SampleConfig, StageProfile};
@@ -92,17 +93,6 @@ pub fn profile_table(p: &StageProfile) -> String {
     let bp: u64 = p.shares_bp().iter().sum();
     out.push_str(&format!("[simperf] stage shares sum to {}.{:02}%\n", bp / 100, bp % 100));
     out
-}
-
-/// One timestamped trajectory record (a single JSON line): the timing
-/// rows plus the merged stage profile when one was collected.
-///
-/// `experiments simperf` overwrites `BENCH_simperf.json` with one such
-/// record by default and appends under `--append`, which turns the
-/// artifact into a JSONL throughput history across commits.
-pub fn history_record(rows: &[PerfRow], profile: Option<&StageProfile>, ts_epoch_s: u64, scale_n: usize) -> String {
-    let profile_json = profile.map_or_else(|| "null".to_string(), StageProfile::to_json);
-    format!("{{\"ts\":{ts_epoch_s},\"scale\":{scale_n},\"rows\":{},\"profile\":{}}}", to_json(rows), profile_json)
 }
 
 /// One full-detail vs sampled cross-check.
@@ -247,28 +237,6 @@ pub fn table(rows: &[PerfRow]) -> String {
     out
 }
 
-/// JSON rendering (one object per row; timings are host-dependent).
-pub fn to_json(rows: &[PerfRow]) -> String {
-    let mut s = String::from("[");
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "{{\"workload\":\"{}\",\"variant\":\"{}\",\"retired\":{},\"cycles\":{},\"wall_ms\":{:.3},\"kips\":{:.1},\"kcps\":{:.1}}}",
-            r.name,
-            r.variant.label(),
-            r.retired,
-            r.cycles,
-            r.wall_ms,
-            r.kips,
-            r.kcps
-        ));
-    }
-    s.push(']');
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -317,26 +285,5 @@ mod tests {
         let rendered = profile_table(&profile);
         assert!(rendered.contains("stage shares sum to 100.00%"), "{rendered}");
         assert!(rendered.contains("scheduler"), "{rendered}");
-    }
-
-    #[test]
-    fn history_record_is_one_json_line_with_optional_profile() {
-        let rows = run_catalog(Scale { n: 40, ..Scale::default() }, None);
-        let bare = history_record(&rows, None, 1_700_000_000, 40);
-        assert!(bare.starts_with("{\"ts\":1700000000,\"scale\":40,\"rows\":["), "{bare}");
-        assert!(bare.ends_with(",\"profile\":null}"), "{bare}");
-        assert!(!bare.contains('\n'));
-        let mut profile = StageProfile::default();
-        let rows = run_catalog(Scale { n: 40, ..Scale::default() }, Some(&mut profile));
-        let with = history_record(&rows, Some(&profile), 1, 40);
-        assert!(with.contains("\"profile\":{\"ns\":{\"frontend\":"), "{with}");
-    }
-
-    #[test]
-    fn json_has_one_object_per_row() {
-        let rows = run_catalog(Scale { n: 40, ..Scale::default() }, None);
-        let json = to_json(&rows);
-        assert!(json.starts_with('[') && json.ends_with(']'));
-        assert_eq!(json.matches("\"workload\"").count(), rows.len());
     }
 }

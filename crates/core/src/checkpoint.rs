@@ -18,7 +18,7 @@
 //! (`experiments ckpt`), and `crates/core/tests/checkpoint.rs` exercises
 //! it at every quarter point of every catalog workload.
 //!
-//! One host-port caveat, deliberate: a restored core *shares* the
+//! One caveat, deliberate: a restored core *shares* the
 //! original's [`CancelToken`](crate::CancelToken) (tokens are `Arc`-backed
 //! supervisor handles, not simulated state), so a supervisor's cancel
 //! reaches restored descendants too.
@@ -27,6 +27,7 @@
 
 use crate::core::{Core, CoreError};
 use crate::pipeline::Pipeline;
+use cfd_isa::Fnv1a;
 
 /// Format version for [`Checkpoint`] validation; bumped whenever the
 /// digest summary or clone semantics change incompatibly.
@@ -39,7 +40,6 @@ pub const CHECKPOINT_VERSION: u32 = 2;
 /// so restore needs no other inputs.
 pub struct Checkpoint {
     version: u32,
-    config_repr: String,
     cycle: u64,
     digest: u64,
     state: Box<Pipeline>,
@@ -49,17 +49,6 @@ impl Checkpoint {
     /// Simulated cycle at which the snapshot was taken.
     pub fn cycle(&self) -> u64 {
         self.cycle
-    }
-
-    /// Debug rendering of the captured core configuration (provenance for
-    /// stored checkpoints).
-    pub fn config_repr(&self) -> &str {
-        &self.config_repr
-    }
-
-    /// The sealed FNV-1a digest of the architectural state summary.
-    pub fn digest(&self) -> u64 {
-        self.digest
     }
 
     /// Corrupts the captured state without resealing the digest, so that
@@ -76,86 +65,63 @@ impl Checkpoint {
     }
 }
 
-/// Incremental FNV-1a over little-endian `u64` words: cheap, stable
-/// across platforms, and adequate for tamper detection (not security).
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn put(&mut self, word: u64) {
-        for b in word.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-}
-
 /// Digest of an architectural state summary: cheap relative to a run
 /// (linear in occupancy, not memory size) yet covering every structure
 /// whose corruption could silently change simulated behavior — fetch
 /// state, both oracle PCs, CFD queue occupancies, the full ROB and front
 /// pipe, scheduler bookkeeping, and the headline statistics.
 fn state_digest(p: &Pipeline) -> u64 {
-    let mut h = Fnv::new();
-    h.put(p.now);
-    h.put(p.next_seq);
-    h.put(p.win.mid());
-    h.put(u64::from(p.fetch_pc));
-    h.put(p.fetch_resume_at);
-    h.put(u64::from(p.fetch_halted));
-    h.put(u64::from(p.halted));
-    h.put(u64::from(p.oracle.pc()));
-    h.put(u64::from(p.fetch_oracle.pc()));
-    h.put(p.diverged_at.unwrap_or(u64::MAX));
-    h.put(p.stats.retired);
-    h.put(p.stats.fetched);
-    h.put(p.stats.mispredictions);
-    h.put(p.stats.retired_branches);
-    h.put(p.bq.length());
-    h.put(p.tq.length());
-    h.put(p.vq.length());
-    h.put(p.iq_count as u64);
-    h.put(p.lsq_count as u64);
-    h.put(p.checkpoints_free as u64);
-    h.put(p.win.front_len() as u64);
+    let mut h = Fnv1a::new();
+    h.write_u64(p.now);
+    h.write_u64(p.next_seq);
+    h.write_u64(p.win.mid());
+    h.write_u64(u64::from(p.fetch_pc));
+    h.write_u64(p.fetch_resume_at);
+    h.write_u64(u64::from(p.fetch_halted));
+    h.write_u64(u64::from(p.halted));
+    h.write_u64(u64::from(p.oracle.pc()));
+    h.write_u64(u64::from(p.fetch_oracle.pc()));
+    h.write_u64(p.diverged_at.unwrap_or(u64::MAX));
+    h.write_u64(p.stats.retired);
+    h.write_u64(p.stats.fetched);
+    h.write_u64(p.stats.mispredictions);
+    h.write_u64(p.stats.retired_branches);
+    h.write_u64(p.bq.length());
+    h.write_u64(p.tq.length());
+    h.write_u64(p.vq.length());
+    h.write_u64(p.iq_count as u64);
+    h.write_u64(p.lsq_count as u64);
+    h.write_u64(p.checkpoints_free as u64);
+    h.write_u64(p.win.front_len() as u64);
     for d in p.win.front() {
-        h.put(d.seq);
-        h.put(u64::from(d.pc));
+        h.write_u64(d.seq);
+        h.write_u64(u64::from(d.pc));
     }
-    h.put(p.win.rob_len() as u64);
+    h.write_u64(p.win.rob_len() as u64);
     for (rob_seq, d) in p.win.rob() {
-        h.put(d.seq);
-        h.put(rob_seq);
-        h.put(u64::from(d.pc));
-        h.put(u64::from(d.done) | u64::from(d.issued) << 1 | u64::from(d.verified) << 2);
+        h.write_u64(d.seq);
+        h.write_u64(rob_seq);
+        h.write_u64(u64::from(d.pc));
+        h.write_u64(u64::from(d.done) | u64::from(d.issued) << 1 | u64::from(d.verified) << 2);
     }
-    h.put(p.store_list.len() as u64);
+    h.write_u64(p.store_list.len() as u64);
     for s in &p.store_list {
-        h.put(*s);
+        h.write_u64(*s);
     }
-    h.put(p.last_retired.0);
-    h.put(p.last_retired.1);
-    h.0
+    h.write_u64(p.last_retired.0);
+    h.write_u64(p.last_retired.1);
+    h.finish()
 }
 
 impl Core {
     /// Snapshots the complete simulated state mid-run (wherever
     /// [`Core::drive`] paused, or before the first drive). Restoring the snapshot
     /// and running to completion is byte-identical to never having
-    /// stopped — see the module docs for the contract and its host-port
-    /// caveats.
+    /// stopped — see the module docs for the contract and its cancel-token
+    /// caveat.
     pub fn checkpoint(&self) -> Checkpoint {
         let state = Box::new(self.p.clone());
-        Checkpoint {
-            version: CHECKPOINT_VERSION,
-            config_repr: format!("{:?}", self.p.cfg),
-            cycle: self.p.now,
-            digest: state_digest(&state),
-            state,
-        }
+        Checkpoint { version: CHECKPOINT_VERSION, cycle: self.p.now, digest: state_digest(&state), state }
     }
 
     /// Rebuilds a runnable core from a checkpoint, validating the version

@@ -11,7 +11,6 @@
 
 use crate::core::CoreError;
 use crate::fault::{FaultKind, FaultSite};
-use crate::host::{FaultHost, MemoryHost};
 use crate::kernel::KernelEvent;
 use crate::pipeline::Pipeline;
 use crate::rename::join_taint;
@@ -97,7 +96,7 @@ impl Pipeline {
                     // store-buffer simplification: correctness lives in the
                     // oracle memory, and retirement never stalls on stores.
                     if let Some(addr) = e.eff_addr {
-                        self.mem.data_access(e.pc as u64 * 4, addr, true, self.now);
+                        self.hier.access(e.pc as u64 * 4, addr, true, self.now);
                     }
                     debug_assert_eq!(self.store_list.front(), Some(&rob_seq));
                     self.store_list.pop_front();
@@ -354,7 +353,7 @@ impl Pipeline {
             // with a wrong value. Mark fetch as diverged so the retirement
             // oracle reports the mismatch instead of the fetch-side
             // divergence tracker asserting.
-            debug_assert!(self.fault.armed(), "off-oracle recovery without fault injection");
+            debug_assert!(self.fault.is_some(), "off-oracle recovery without fault injection");
             self.diverged_at = Some(seq);
         }
     }

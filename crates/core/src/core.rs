@@ -35,8 +35,7 @@
 //! observer — and report finalization.
 
 use crate::config::CoreConfig;
-use crate::fault::{FailureReport, FaultSpec};
-use crate::host::{ControlPort, FaultHost, FaultPort, MemoryHost};
+use crate::fault::{FailureReport, FaultSpec, FaultState};
 use crate::kernel::Observer;
 use crate::pipeline::Pipeline;
 use crate::stage_profile::{StageProfile, StageProfiler};
@@ -118,8 +117,23 @@ impl CancelToken {
         self.inner.progress.load(Ordering::Relaxed)
     }
 
-    pub(crate) fn note(&self, cycle: u64) {
+    /// Called once per cycle before the stages run: publishes `cycle` as
+    /// the progress heartbeat, then trips [`CoreError::Cancelled`] when
+    /// the cycle budget is exhausted or an external cancel was requested.
+    #[inline]
+    pub(crate) fn poll(&self, cycle: u64) -> Result<(), CoreError> {
+        // Publish progress before checking: a supervisor that sees a stale
+        // heartbeat knows the loop itself stopped turning.
         self.inner.progress.store(cycle, Ordering::Relaxed);
+        if let Some(b) = self.budget() {
+            if cycle >= b {
+                return Err(CoreError::Cancelled { cycle, budget: Some(b) });
+            }
+        }
+        if self.is_cancelled() {
+            return Err(CoreError::Cancelled { cycle, budget: None });
+        }
+        Ok(())
     }
 }
 
@@ -202,7 +216,7 @@ impl Core {
     /// Arms one deterministic fault injection (see [`crate::fault`]).
     #[must_use]
     pub fn with_fault(mut self, spec: FaultSpec) -> Self {
-        self.p.fault = FaultPort::armed_with(spec);
+        self.p.fault = Some(FaultState::new(spec));
         self
     }
 
@@ -212,7 +226,7 @@ impl Core {
     /// default) the loop pays nothing.
     #[must_use]
     pub fn with_cancellation(mut self, token: CancelToken) -> Self {
-        self.p.control = ControlPort::engaged(token);
+        self.p.cancel = Some(token);
         self
     }
 
@@ -247,7 +261,7 @@ impl Core {
             let mut post_mortem =
                 format!("final state: {}\nlast {} cycles:\n", self.p.dump_state(), ring.snaps().count());
             post_mortem.push_str(&ring.render());
-            let injection = self.p.fault.fired_record();
+            let injection = self.p.injection();
             return Err(Box::new(FailureReport { error, post_mortem, injection }));
         }
         Ok(self.into_report())
@@ -271,7 +285,8 @@ impl Core {
     /// Finalizes counters and packages the report (successful runs only).
     pub(crate) fn into_report(self) -> RunReport {
         let mut p = self.p;
-        p.mem.advance(p.now);
+        let injection = p.injection();
+        p.hier.advance(p.now);
         p.stats.cycles = p.now;
         p.events.cycles = p.now;
         debug_assert!(
@@ -279,19 +294,19 @@ impl Core {
             "{}",
             p.stats.cpi_stack().check(p.stats.cycles, p.cfg.width as u64).err().unwrap_or_default()
         );
-        let (l1, l2, l3) = p.mem.cache_stats();
+        let (l1, l2, l3) = p.hier.cache_stats();
         p.events.l1d_accesses = l1.accesses;
         p.events.l2_accesses = l2.accesses;
         p.events.l3_accesses = l3.accesses;
-        p.events.dram_accesses = p.mem.level_counts()[3];
+        p.events.dram_accesses = p.hier.level_counts[3];
         p.events.btb_ops = p.btb.lookups;
         RunReport {
             stats: p.stats,
             events: p.events,
             cache_stats: (l1, l2, l3),
-            mshr_histogram: p.mem.mshr_histogram().to_vec(),
-            level_counts: p.mem.level_counts(),
-            injection: p.fault.fired_record(),
+            mshr_histogram: p.hier.mshr_histogram().to_vec(),
+            level_counts: p.hier.level_counts,
+            injection,
         }
     }
 }

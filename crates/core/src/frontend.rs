@@ -13,13 +13,29 @@
 use crate::cfd_queues::{FetchBq, FetchTq};
 use crate::config::{BqMissPolicy, CheckpointPolicy};
 use crate::core::CoreError;
-use crate::host::MemoryHost;
 use crate::pipeline::{DynInst, Pipeline, Snapshot};
 use crate::rename::VqRenamer;
 use crate::window::front_capacity;
 use cfd_isa::Instr;
+use cfd_mem::{Cache, CacheConfig};
 use cfd_obs::CpiComponent;
 use cfd_predictor::{BranchKind, BtbEntry};
+
+/// The L1 instruction cache: tags only, probed at byte-PC `pc * 4`.
+pub(crate) fn l1i() -> Cache {
+    Cache::new(CacheConfig { size_bytes: 32 * 1024, ways: 8, block_bits: 6 })
+}
+
+/// Probes the L1I at byte-PC `pc`: true on a hit. A miss fills the line
+/// (the bubble cost is the caller's to model).
+#[inline]
+pub(crate) fn l1i_probe(icache: &mut Cache, pc: u64) -> bool {
+    if icache.access(pc, false) {
+        return true;
+    }
+    icache.fill(pc, false);
+    false
+}
 
 /// Result of fetching one instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,7 +100,7 @@ impl Pipeline {
             }
 
             // L1I probe: a miss bubbles fetch for the L2 latency.
-            if self.cfg.model_icache && !self.mem.fetch_probe(pc as u64 * 4) {
+            if self.cfg.model_icache && !l1i_probe(&mut self.icache, pc as u64 * 4) {
                 self.stats.icache_misses += 1;
                 self.fetch_resume_at = self.now + self.cfg.hierarchy.l2_latency as u64;
                 self.front_block = CpiComponent::Frontend;

@@ -24,7 +24,6 @@
 
 use crate::core::{Core, CoreError};
 use crate::fault::InjectionRecord;
-use crate::host::ControlHost;
 use crate::pipeline::Pipeline;
 use crate::stage_profile::Stage;
 use crate::trace::{CycleSnap, PipeEvent};
@@ -187,13 +186,15 @@ pub enum Stop {
 }
 
 impl Pipeline {
-    /// Per-cycle guards, in one place: cycle limit, the control host
+    /// Per-cycle guards, in one place: cycle limit, the cancel token
     /// (budget/cancel/heartbeat) and the retirement watchdog.
     fn cycle_gate(&mut self, cycle_limit: u64) -> Result<(), CoreError> {
         if self.now >= cycle_limit {
             return Err(CoreError::CycleLimit(cycle_limit));
         }
-        self.control.poll(self.now)?;
+        if let Some(token) = &self.cancel {
+            token.poll(self.now)?;
+        }
         if self.stats.retired != self.last_retired.1 {
             self.last_retired = (self.now, self.stats.retired);
         } else if self.now - self.last_retired.0 > self.cfg.watchdog_cycles {

@@ -54,7 +54,6 @@ mod core;
 mod dispatch;
 pub mod fault;
 mod frontend;
-mod host;
 mod kernel;
 mod lsq;
 mod pipeline;
@@ -73,7 +72,6 @@ pub use cfd_queues::{BqSnapshot, FetchBq, FetchTq, TqSnapshot};
 pub use checkpoint::{Checkpoint, CHECKPOINT_VERSION};
 pub use config::{BqMissPolicy, CheckpointPolicy, CoreConfig, PerfectMode};
 pub use fault::{FailureReport, FaultKind, FaultSite, FaultSpec, InjectionRecord};
-pub use host::{ControlHost, FaultHost, MemoryHost};
 pub use kernel::{KernelEvent, Observer, PauseAt, SchedWork, Stop};
 pub use rename::{join_taint, PhysReg, RenameState, Taint, VqRenamer, VqSnapshot};
 pub use sampled::{run_sampled, SampleConfig, SampledReport};

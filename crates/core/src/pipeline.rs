@@ -16,9 +16,9 @@
 
 use crate::cfd_queues::{BqSnapshot, FetchBq, FetchTq, TqSnapshot};
 use crate::config::CoreConfig;
-use crate::core::CoreError;
-use crate::fault::{FaultKind, FaultSite};
-use crate::host::{ControlPort, FaultHost, FaultPort, MemoryHost, MemoryPort};
+use crate::core::{CancelToken, CoreError};
+use crate::fault::{FaultKind, FaultSite, FaultState, InjectionRecord};
+use crate::frontend::l1i;
 use crate::kernel::KernelEvent;
 use crate::rename::{PhysReg, RenameState, Taint, VqRenamer};
 use crate::stats::CoreStats;
@@ -27,7 +27,7 @@ use crate::wheel::{ReadyList, Wheel};
 use crate::window::Window;
 use cfd_energy::EventCounts;
 use cfd_isa::{Instr, Machine, MemImage, MemWidth, Program, QueueConfig};
-use cfd_mem::MemLevel;
+use cfd_mem::{Cache, Hierarchy, MemLevel};
 use cfd_obs::CpiComponent;
 use cfd_predictor::{predictor_by_name, Btb, ConfidenceEstimator, DirectionPredictor, Ras, RasSnapshot};
 use std::collections::VecDeque;
@@ -207,10 +207,9 @@ impl DynInst {
 /// All simulated state, shared by the stage modules.
 ///
 /// `Clone` is the checkpoint mechanism (see [`crate::checkpoint`]): every
-/// field is either simulated state that deep-copies, or a host port whose
-/// clone semantics are documented on the port (the control port's
-/// [`CancelToken`](crate::CancelToken) clone intentionally *shares* the
-/// supervisor's token).
+/// field is simulated state that deep-copies, except the
+/// [`CancelToken`], whose clone intentionally *shares* the supervisor's
+/// token.
 #[derive(Clone)]
 pub(crate) struct Pipeline {
     pub(crate) cfg: CoreConfig,
@@ -256,21 +255,21 @@ pub(crate) struct Pipeline {
     pub(crate) iq_count: usize,
     pub(crate) lsq_count: usize,
     pub(crate) checkpoints_free: usize,
-    /// Memory host: the data hierarchy and L1I tags, behind
-    /// [`MemoryHost`].
-    pub(crate) mem: MemoryPort,
+    /// The three-level data hierarchy.
+    pub(crate) hier: Hierarchy,
+    /// L1 instruction cache (tags only; see [`l1i`]).
+    pub(crate) icache: Cache,
     pub(crate) now: u64,
     pub(crate) next_seq: u64,
     pub(crate) halted: bool,
     pub(crate) stats: CoreStats,
     pub(crate) events: EventCounts,
-    /// Fault host: the deterministic injector, behind [`FaultHost`]; null
-    /// unless armed (see [`crate::fault`]).
-    pub(crate) fault: FaultPort,
-    /// Control host: progress heartbeat + cooperative cancellation, behind
-    /// [`ControlHost`](crate::host::ControlHost); polled once per cycle by
-    /// the step loop.
-    pub(crate) control: ControlPort,
+    /// The deterministic fault injector, when one is armed (see
+    /// [`crate::fault`]).
+    pub(crate) fault: Option<FaultState>,
+    /// Progress heartbeat + cooperative cancellation, when engaged;
+    /// polled once per cycle by the step loop.
+    pub(crate) cancel: Option<CancelToken>,
     /// Why fetch most recently failed to supply instructions: CPI-stack
     /// attribution for empty-ROB cycles outside misprediction refill.
     pub(crate) front_block: CpiComponent,
@@ -334,14 +333,15 @@ impl Pipeline {
             iq_count: 0,
             lsq_count: 0,
             checkpoints_free: cfg.n_checkpoints,
-            mem: MemoryPort::new(cfg.hierarchy.clone()),
+            hier: Hierarchy::new(cfg.hierarchy.clone()),
+            icache: l1i(),
             now: 0,
             next_seq: 0,
             halted: false,
             stats: CoreStats::default(),
             events: EventCounts::default(),
-            fault: FaultPort::unarmed(),
-            control: ControlPort::disengaged(),
+            fault: None,
+            cancel: None,
             front_block: CpiComponent::Frontend,
             refill_after_recovery: false,
             last_retired: (0, 0),
@@ -423,7 +423,7 @@ impl Pipeline {
             tcr: self.tq.tcr,
             free_regs: self.rename.free_regs(),
             ckpt_free: self.checkpoints_free,
-            caches: self.mem.cache_stats(),
+            caches: self.hier.cache_stats(),
             cpi_slots: self.stats.cpi_slots,
         }
     }
@@ -431,22 +431,23 @@ impl Pipeline {
     /// Visits a fault-injection site: returns the armed fault's kind when
     /// it fires at this visit (see [`crate::fault`]).
     pub(crate) fn fault_at(&mut self, site: FaultSite) -> Option<FaultKind> {
-        if !self.fault.armed() {
-            return None;
+        let fired = self.fault.as_mut()?.visit(site, self.now)?;
+        self.stats.faults_injected += 1;
+        let record = self.injection();
+        if let (Some(out), Some(record)) = (&mut self.outbox, record) {
+            out.push(KernelEvent::FaultFired(record));
         }
-        let fired = self.fault.visit(site, self.now);
-        if fired.is_some() {
-            self.stats.faults_injected += 1;
-            if let (Some(out), Some(record)) = (&mut self.outbox, self.fault.fired_record()) {
-                out.push(KernelEvent::FaultFired(record));
-            }
-        }
-        fired
+        Some(fired)
     }
 
     /// Whether the armed fault has fired by now (recovery attribution).
     pub(crate) fn fault_has_fired(&self) -> bool {
-        self.fault.has_fired()
+        self.fault.as_ref().is_some_and(|f| f.fired().is_some())
+    }
+
+    /// The armed fault's injection record, once it fired.
+    pub(crate) fn injection(&self) -> Option<InjectionRecord> {
+        self.fault.as_ref()?.fired().cloned()
     }
 
     /// Branch PC as presented to predictor structures: instruction indices

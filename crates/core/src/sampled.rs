@@ -28,10 +28,11 @@
 
 use crate::config::CoreConfig;
 use crate::core::{Core, CoreError};
-use crate::host::{MemoryHost, MemoryPort};
+use crate::frontend::{l1i, l1i_probe};
 use crate::kernel::PauseAt;
 use crate::pipeline::Pipeline;
 use cfd_isa::{Machine, MemImage, Program, QueueConfig, Reg, RetireEvent};
+use cfd_mem::{Cache, Hierarchy};
 use cfd_predictor::{predictor_by_name, BranchKind, Btb, BtbEntry, DirectionPredictor};
 
 /// Shape of one sampling period, in instructions.
@@ -79,19 +80,6 @@ impl SampledReport {
             return 0.0;
         }
         self.measured_instructions as f64 / self.measured_cycles as f64
-    }
-
-    /// Projected cycle count for the whole workload at the estimated IPC.
-    pub fn estimated_cycles(&self) -> u64 {
-        if self.measured_instructions == 0 {
-            return 0;
-        }
-        // total * cycles / instructions, in u128 to dodge overflow.
-        u64::try_from(
-            u128::from(self.total_instructions) * u128::from(self.measured_cycles)
-                / u128::from(self.measured_instructions),
-        )
-        .unwrap_or(u64::MAX)
     }
 }
 
@@ -145,7 +133,8 @@ impl Pipeline {
 /// instructions; it only orders hierarchy events, and each detailed slice
 /// continues time from it so in-flight warm MSHRs drain naturally.
 struct Warmer {
-    mem: MemoryPort,
+    hier: Hierarchy,
+    icache: Cache,
     predictor: Box<dyn DirectionPredictor>,
     btb: Btb,
     clock: u64,
@@ -155,7 +144,13 @@ impl Warmer {
     fn new(cfg: &CoreConfig) -> Result<Warmer, CoreError> {
         let predictor = predictor_by_name(&cfg.predictor)
             .ok_or_else(|| CoreError::Config(format!("unknown predictor `{}`", cfg.predictor)))?;
-        Ok(Warmer { mem: MemoryPort::new(cfg.hierarchy.clone()), predictor, btb: Btb::new(10, 4), clock: 0 })
+        Ok(Warmer {
+            hier: Hierarchy::new(cfg.hierarchy.clone()),
+            icache: l1i(),
+            predictor,
+            btb: Btb::new(10, 4),
+            clock: 0,
+        })
     }
 
     /// Observes one functional retirement: L1I probe, data-hierarchy
@@ -164,10 +159,10 @@ impl Warmer {
     fn observe(&mut self, ev: &RetireEvent) {
         self.clock += 1;
         let now = self.clock;
-        self.mem.fetch_probe(u64::from(ev.pc) * 4);
+        l1i_probe(&mut self.icache, u64::from(ev.pc) * 4);
         if let Some(a) = &ev.mem {
-            self.mem.data_access(u64::from(ev.pc) * 4, a.addr, a.is_store, now);
-            self.mem.advance(now);
+            self.hier.access(u64::from(ev.pc) * 4, a.addr, a.is_store, now);
+            self.hier.advance(now);
         }
         if ev.instr.is_control() && self.btb.lookup(u64::from(ev.pc)).is_none() {
             self.btb.insert(
@@ -193,7 +188,8 @@ impl Warmer {
     /// resumes its clock from the warm clock (keeping hierarchy time
     /// monotonic across the functional/detailed boundary).
     fn seed(&self, p: &mut Pipeline) {
-        p.mem = self.mem.clone();
+        p.hier = self.hier.clone();
+        p.icache = self.icache.clone();
         p.predictor = self.predictor.clone();
         p.btb = self.btb.clone();
         p.now = self.clock;

@@ -26,7 +26,6 @@
 //! buckets keyed by each instruction's `ready_at`.
 
 use crate::fault::{FaultKind, FaultSite};
-use crate::host::MemoryHost;
 use crate::kernel::SchedWork;
 use crate::lsq::ForwardState;
 use crate::pipeline::{extract, Pipeline};
@@ -302,7 +301,7 @@ impl Pipeline {
                         latency = 2;
                     }
                     ForwardState::Memory => {
-                        let res = self.mem.data_access(pc as u64 * 4, addr, false, now);
+                        let res = self.hier.access(pc as u64 * 4, addr, false, now);
                         if res.mshr_full {
                             return false;
                         }
@@ -322,7 +321,7 @@ impl Pipeline {
             }
             Instr::Prefetch { offset, .. } => {
                 let addr = (v1 as u64).wrapping_add(offset as u64);
-                let res = self.mem.data_access(pc as u64 * 4, addr, false, now);
+                let res = self.hier.access(pc as u64 * 4, addr, false, now);
                 if res.mshr_full {
                     return false;
                 }

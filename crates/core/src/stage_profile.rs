@@ -123,31 +123,6 @@ impl StageProfile {
         let _ = writeln!(out, "{:<10} {:>14} {:>12} {share:>8}", "TOTAL", self.total_ns(), calls);
         out
     }
-
-    /// JSON object rendering with a fixed key order (ns and calls keyed
-    /// by stage name, then the deterministic counters).
-    pub fn to_json(&self) -> String {
-        let keyed = |vals: &[u64; STAGE_COUNT]| {
-            let mut s = String::from("{");
-            for i in 0..STAGE_COUNT {
-                if i > 0 {
-                    s.push(',');
-                }
-                let _ = write!(s, "\"{}\":{}", STAGE_NAMES[i], vals[i]);
-            }
-            s.push('}');
-            s
-        };
-        format!(
-            "{{\"ns\":{},\"calls\":{},\"cycles\":{},\"sched_ready_checks\":{},\"sched_wakeup_events\":{},\"sched_poll_equiv\":{}}}",
-            keyed(&self.ns),
-            keyed(&self.calls),
-            self.cycles,
-            self.sched_ready_checks,
-            self.sched_wakeup_events,
-            self.sched_poll_equiv
-        )
-    }
 }
 
 /// The stage profiler: an [`Observer`] filling a [`StageProfile`] from
@@ -223,15 +198,12 @@ mod tests {
     }
 
     #[test]
-    fn table_and_json_are_deterministic_given_the_profile() {
+    fn table_is_deterministic_given_the_profile() {
         let p = StageProfile { ns: [10, 20, 30, 25, 15], calls: [4, 4, 4, 4, 5], cycles: 4, ..Default::default() };
         let table = p.table();
         assert!(table.contains("frontend"), "{table}");
         assert!(table.contains("100.00%"), "{table}");
         assert_eq!(p.table(), table);
-        let json = p.to_json();
-        assert!(json.starts_with("{\"ns\":{\"frontend\":10,"), "{json}");
-        assert!(json.contains("\"cycles\":4"), "{json}");
     }
 
     #[test]

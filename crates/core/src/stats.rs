@@ -188,12 +188,6 @@ impl RunReport {
     pub fn effective_ipc(&self, baseline_instructions: u64) -> f64 {
         baseline_instructions as f64 / self.stats.cycles.max(1) as f64
     }
-
-    /// Instruction overhead factor versus a baseline run of the same
-    /// region (Table III).
-    pub fn overhead_over(&self, baseline: &RunReport) -> f64 {
-        self.stats.retired as f64 / baseline.stats.retired.max(1) as f64
-    }
 }
 
 #[cfg(test)]

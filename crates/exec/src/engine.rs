@@ -399,12 +399,6 @@ impl Engine {
         )
     }
 
-    /// Runs one job through the same fingerprint/cache/isolate path as a
-    /// batch of one.
-    pub fn run_one<J: CampaignJob>(&self, job: &J) -> Result<J::Output, JobError> {
-        self.run_all(std::slice::from_ref(job)).pop().expect("one job in, one result out")
-    }
-
     /// Opens (or resumes) the campaign's write-ahead journal. The file
     /// lives under `<cache>/journal/` and is named by the campaign
     /// fingerprint — a fold over every submitted job fingerprint — so a

@@ -5,8 +5,7 @@
 //! stable across runs, platforms, and thread counts. Two independent
 //! 64-bit lanes are combined:
 //!
-//! * lane A — FNV-1a with the standard 64-bit offset basis and prime, the
-//!   same construction the workload checksums already use;
+//! * lane A — [`Fnv1a`], the same hash the workload checksums use;
 //! * lane B — a multiply–rotate mix in the xxhash/wyhash family, seeded
 //!   differently so the lanes fail independently.
 //!
@@ -15,10 +14,9 @@
 //! cache collision effectively impossible while keeping the hasher a few
 //! lines of obvious code.
 
+use cfd_isa::Fnv1a;
 use std::fmt;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 const MIX_SEED: u64 = 0x9e37_79b9_7f4a_7c15;
 const MIX_MULT: u64 = 0xff51_afd7_ed55_8ccd;
 
@@ -55,7 +53,7 @@ impl fmt::Display for Fingerprint {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Hasher {
-    fnv: u64,
+    fnv: Fnv1a,
     mix: u64,
 }
 
@@ -68,13 +66,14 @@ impl Default for Hasher {
 impl Hasher {
     /// Creates a fresh hasher.
     pub fn new() -> Hasher {
-        Hasher { fnv: FNV_OFFSET, mix: MIX_SEED }
+        Hasher { fnv: Fnv1a::new(), mix: MIX_SEED }
     }
 
     /// Feeds bytes into both lanes.
     pub fn update(&mut self, bytes: &[u8]) {
+        // One pass feeds both lanes, so their multiply chains overlap.
         for &b in bytes {
-            self.fnv = (self.fnv ^ b as u64).wrapping_mul(FNV_PRIME);
+            self.fnv.write(&[b]);
             self.mix = (self.mix ^ b as u64).wrapping_mul(MIX_MULT).rotate_left(29);
         }
     }
@@ -90,7 +89,8 @@ impl Hasher {
     /// Finalizes into a fingerprint (the hasher may keep being fed; this
     /// snapshots the current state through an avalanche step).
     pub fn finish(&self) -> Fingerprint {
-        Fingerprint(avalanche(self.fnv), avalanche(self.mix ^ self.fnv.rotate_left(31)))
+        let fnv = self.fnv.finish();
+        Fingerprint(avalanche(fnv), avalanche(self.mix ^ fnv.rotate_left(31)))
     }
 }
 

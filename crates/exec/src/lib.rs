@@ -37,17 +37,16 @@ pub mod chaos;
 mod engine;
 mod fingerprint;
 pub mod journal;
-pub mod json;
 pub mod policy;
 mod pool;
 mod sim;
 
 pub use cache::{CacheEntryInfo, CacheError, CacheLoad, DiskCache, CACHE_VERSION};
+pub use cfd_obs::json::{self, Json};
 pub use chaos::{InjectedIoFault, IoFaultKind, IoFaultShim};
 pub use engine::{BatchProgress, CampaignJob, Engine, ExecConfig, ExecStats, JobError, ProgressFn};
 pub use fingerprint::{campaign_fingerprint, Fingerprint, Hasher};
 pub use journal::{Journal, JournalRecord, Replay};
-pub use json::Json;
 pub use policy::RetryPolicy;
 pub use pool::{run_indexed, BoundedQueue};
 pub use sim::{fault_kind_by_name, run_report_from_json, run_report_to_json, FuncJob, ProfileJob, SimJob};

@@ -32,6 +32,7 @@
 
 use crate::Verdict;
 use cfd_core::CoreConfig;
+use cfd_exec::json::quote;
 use cfd_exec::{run_report_to_json, Engine, ExecConfig, IoFaultKind, IoFaultShim, JobError, Journal, SimJob};
 use cfd_workloads::{by_name, Scale, Variant};
 use std::fmt::Write as _;
@@ -151,13 +152,13 @@ impl ChaosReport {
         s.push_str("},\n  \"scenarios\": [\n");
         for (i, o) in self.outcomes.iter().enumerate() {
             s.push_str("    {");
-            s.push_str(&format!("\"scenario\": \"{}\", ", o.scenario));
-            s.push_str(&format!("\"site\": \"{}\", ", o.site));
-            s.push_str(&format!("\"fault\": \"{}\", ", o.fault));
+            s.push_str(&format!("\"scenario\": {}, ", quote(o.scenario)));
+            s.push_str(&format!("\"site\": {}, ", quote(o.site)));
+            s.push_str(&format!("\"fault\": {}, ", quote(o.fault)));
             s.push_str(&format!("\"injected\": {}, ", o.injected));
             s.push_str(&format!("\"detected\": {}, ", o.detected));
             s.push_str(&format!("\"masked\": {}, ", o.masked));
-            s.push_str(&format!("\"verdict\": \"{}\"", o.verdict.label()));
+            s.push_str(&format!("\"verdict\": {}", quote(o.verdict.label())));
             s.push_str(if i + 1 < self.outcomes.len() { "},\n" } else { "}\n" });
         }
         s.push_str("  ]\n}\n");

@@ -42,6 +42,7 @@ use cfd_analysis::{lint_program, LintConfig};
 use cfd_core::{
     Core, CoreConfig, CoreError, FaultKind, FaultSpec, Observer, Telemetry, TelemetryConfig, TelemetryReport,
 };
+use cfd_exec::json::quote;
 use cfd_exec::{CampaignJob, Engine, Fingerprint, Hasher, Json};
 use cfd_isa::check::Rng;
 use cfd_workloads::{by_name, catalog, CatalogEntry, Scale, Variant, Workload};
@@ -229,14 +230,14 @@ impl CampaignReport {
         s.push_str("},\n  \"trials\": [\n");
         for (i, o) in self.outcomes.iter().enumerate() {
             s.push_str("    {");
-            s.push_str(&format!("\"workload\": {}, ", json_str(o.workload)));
-            s.push_str(&format!("\"variant\": {}, ", json_str(o.variant.label())));
-            s.push_str(&format!("\"fault\": {}, ", json_str(o.fault)));
-            s.push_str(&format!("\"site\": {}, ", json_str(o.site)));
+            s.push_str(&format!("\"workload\": {}, ", quote(o.workload)));
+            s.push_str(&format!("\"variant\": {}, ", quote(o.variant.label())));
+            s.push_str(&format!("\"fault\": {}, ", quote(o.fault)));
+            s.push_str(&format!("\"site\": {}, ", quote(o.site)));
             s.push_str(&format!("\"nth\": {}, ", o.nth));
-            s.push_str(&format!("\"verdict\": {}, ", json_str(o.verdict.label())));
+            s.push_str(&format!("\"verdict\": {}, ", quote(o.verdict.label())));
             let class = match &o.verdict {
-                Verdict::Detected(c) => json_str(c),
+                Verdict::Detected(c) => quote(c),
                 _ => "null".to_string(),
             };
             s.push_str(&format!("\"error_class\": {class}, "));
@@ -251,22 +252,6 @@ impl CampaignReport {
         s.push_str("  ]\n}\n");
         s
     }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// One row of the static/dynamic cross-check: the static verifier's
@@ -565,12 +550,12 @@ impl CampaignJob for TrialJob {
     fn result_to_json(out: &TrialOutcome) -> String {
         let opt = |x: Option<u64>| x.map_or("null".to_string(), |v| v.to_string());
         let class = match &out.verdict {
-            Verdict::Detected(c) => json_str(c),
+            Verdict::Detected(c) => quote(c),
             _ => "null".to_string(),
         };
         format!(
             "{{\"verdict\":{},\"error_class\":{},\"injected_cycle\":{},\"cycles\":{},\"retired\":{},\"detect_latency\":{}}}",
-            json_str(out.verdict.label()),
+            quote(out.verdict.label()),
             class,
             opt(out.injected_cycle),
             out.cycles,
@@ -788,11 +773,6 @@ mod tests {
         let plain = run_trial(&wl, FaultKind::BqCorrupt, 4, &cfg);
         assert_eq!(plain.verdict, outcome.verdict);
         assert_eq!(plain.cycles, outcome.cycles);
-    }
-
-    #[test]
-    fn json_escapes_strings() {
-        assert_eq!(json_str("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
     }
 
     #[test]

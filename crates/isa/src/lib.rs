@@ -57,6 +57,7 @@
 //! ```
 
 pub mod check;
+mod fnv;
 mod instr;
 mod mem_image;
 mod parse;
@@ -67,6 +68,7 @@ mod semantics;
 mod sim;
 
 pub use check::Rng;
+pub use fnv::Fnv1a;
 pub use instr::{AluOp, BranchCond, Instr, MemWidth, QueueKind, QueueOp, QueueOpKind, Src2};
 pub use mem_image::MemImage;
 pub use parse::{parse_program, ParseError};

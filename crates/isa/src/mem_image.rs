@@ -117,21 +117,6 @@ impl MemImage {
         self.write(addr, val as i64, MemWidth::B8);
     }
 
-    /// Reads a signed 32-bit word.
-    pub fn read_i32(&self, addr: u64) -> i32 {
-        self.read(addr, MemWidth::B4, true) as i32
-    }
-
-    /// Writes a 32-bit word.
-    pub fn write_i32(&mut self, addr: u64, val: i32) {
-        self.write(addr, val as i64, MemWidth::B4);
-    }
-
-    /// Whether the page containing `addr` has been written.
-    pub fn is_mapped(&self, addr: u64) -> bool {
-        self.pages.contains_key(&(addr >> PAGE_SHIFT))
-    }
-
     /// Number of mapped 4 KiB pages (the footprint).
     pub fn mapped_pages(&self) -> usize {
         self.pages.len()

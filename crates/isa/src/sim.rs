@@ -186,11 +186,6 @@ impl Machine {
         self.pc
     }
 
-    /// Sets the PC (e.g. to start at a label).
-    pub fn set_pc(&mut self, pc: u32) {
-        self.pc = pc;
-    }
-
     /// Whether `Halt` has retired.
     pub fn halted(&self) -> bool {
         self.halted

@@ -63,15 +63,6 @@ impl CacheStats {
     pub fn misses(&self) -> u64 {
         self.accesses - self.hits
     }
-
-    /// Miss ratio in `[0, 1]`; 0 when there were no accesses.
-    pub fn miss_ratio(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.misses() as f64 / self.accesses as f64
-        }
-    }
 }
 
 /// A set-associative, true-LRU, write-back cache (tags only).

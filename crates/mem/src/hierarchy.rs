@@ -269,11 +269,6 @@ impl Hierarchy {
     pub fn mshr_histogram(&self) -> &[u64] {
         self.mshr.histogram()
     }
-
-    /// Number of MSHR merges and full-stalls.
-    pub fn mshr_pressure(&self) -> (u64, u64) {
-        (self.mshr.merges, self.mshr.full_stalls)
-    }
 }
 
 #[cfg(test)]

@@ -150,15 +150,6 @@ impl MshrFile {
     pub fn histogram(&self) -> &[u64] {
         &self.histogram
     }
-
-    /// Resets statistics (entries stay).
-    pub fn reset_stats(&mut self) {
-        for h in &mut self.histogram {
-            *h = 0;
-        }
-        self.merges = 0;
-        self.full_stalls = 0;
-    }
 }
 
 /// Outcome of an MSHR request.

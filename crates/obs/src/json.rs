@@ -1,14 +1,17 @@
-//! A minimal JSON reader/writer for cache entries — no external deps.
+//! The workspace's one JSON reader and string escaper — no external deps.
 //!
-//! The repo's reports already hand-roll JSON *writing*; the result cache
-//! additionally needs to *read* entries back. This parser covers exactly
-//! the subset our writers emit: `null`, booleans, unsigned integers,
-//! strings, arrays, and objects. Floats never appear in cached results
-//! (every cached quantity is an exact counter), which is what makes
-//! byte-identical warm-cache reports possible — so the parser rejects
-//! them, and a rejected entry is simply treated as a cache miss.
+//! Every emitter lays out its own JSON (fixtures lock each layout) but
+//! writes every string through [`write_str`] or [`quote`]. The result
+//! cache, the journal, the daemon protocol and the event-log checker read
+//! JSON back with [`Json::parse`], which covers exactly the subset the
+//! writers emit: `null`, booleans, unsigned integers, strings, arrays, and
+//! objects. Floats never appear in cached results (every cached quantity
+//! is an exact counter), which is what makes byte-identical warm-cache
+//! reports possible — so the parser rejects them, and a rejected cache
+//! entry is simply treated as a miss.
 
 use std::fmt;
+use std::fmt::Write as _;
 
 /// A parsed JSON value (unsigned-integer numbers only).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -278,7 +281,9 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Appends `s` to `out` as a JSON string literal with escaping.
+/// Appends `s` to `out` as a JSON string literal (quotes included):
+/// `"`, `\`, newline, carriage return and tab get their short escapes,
+/// any other control character becomes `\u00XX`.
 pub fn write_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
@@ -286,11 +291,22 @@ pub fn write_str(out: &mut String, s: &str) {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
             '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
     out.push('"');
+}
+
+/// `s` as a JSON string literal; see [`write_str`].
+pub fn quote(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    write_str(&mut out, s);
+    out
 }
 
 #[cfg(test)]
@@ -328,11 +344,11 @@ mod tests {
 
     #[test]
     fn write_str_escapes() {
-        let mut s = String::new();
-        write_str(&mut s, "a\"b\\c\n\u{1}");
-        assert_eq!(s, "\"a\\\"b\\\\c\\n\\u0001\"");
+        let raw = "a\"b\\c\n\r\t\u{1}";
+        let s = quote(raw);
+        assert_eq!(s, "\"a\\\"b\\\\c\\n\\r\\t\\u0001\"");
         // And parses back.
-        assert_eq!(Json::parse(&s).unwrap().as_str(), Some("a\"b\\c\n\u{1}"));
+        assert_eq!(Json::parse(&s).unwrap().as_str(), Some(raw));
     }
 
     #[test]

@@ -24,11 +24,14 @@
 //!   are *simulated cycles* (or a logical job clock for campaign spans),
 //!   never wall time, so the exported bytes are deterministic across
 //!   machines, runs and worker counts.
+//! * [`json`] — the workspace's one JSON reader ([`json::Json::parse`])
+//!   and string escaper ([`json::write_str`]).
 //!
 //! Everything in this crate is plain `std` and every stored quantity is
 //! an integer: serializing any artifact twice yields identical bytes.
 
 mod cpi;
+pub mod json;
 pub mod log;
 mod registry;
 mod series;
@@ -38,7 +41,7 @@ pub use cpi::{CpiComponent, CpiStack, CPI_COMPONENTS};
 pub use log::{strip_wall, EventLog, Level, LOG_SCHEMA_VERSION};
 pub use registry::{GaugeState, HistogramState, MetricsRegistry};
 pub use series::TimeSeries;
-pub use trace::{write_json_string, ArgValue, TraceEvent, TraceLog};
+pub use trace::{ArgValue, TraceEvent, TraceLog};
 
 /// Telemetry knobs a simulation is armed with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -20,7 +20,8 @@
 //! Events below the configured level are dropped *without* consuming a
 //! sequence number, so the emitted stream stays dense at every level.
 
-use crate::trace::{write_json_string, ArgValue};
+use crate::json::write_str;
+use crate::trace::ArgValue;
 use std::fmt;
 use std::fmt::Write as _;
 use std::fs::File;
@@ -255,9 +256,9 @@ fn render_jsonl(
 ) -> String {
     let mut out = String::with_capacity(128);
     let _ = write!(out, "{{\"v\":{LOG_SCHEMA_VERSION},\"seq\":{seq},\"level\":\"{}\",\"target\":", level.as_str());
-    write_json_string(&mut out, target);
+    write_str(&mut out, target);
     out.push_str(",\"event\":");
-    write_json_string(&mut out, event);
+    write_str(&mut out, event);
     if let Some(phase) = span {
         let word = match phase {
             SpanPhase::Begin => "begin",
@@ -275,7 +276,7 @@ fn render_jsonl(
             ArgValue::Int(n) => {
                 let _ = write!(out, "{n}");
             }
-            ArgValue::Str(s) => write_json_string(&mut out, s),
+            ArgValue::Str(s) => write_str(&mut out, s),
         }
     }
     // `wall_us` is always the last key so strip_wall can remove it

@@ -11,6 +11,7 @@
 //! directly: `{"traceEvents":[...]}` with `ph:"X"` complete spans,
 //! `ph:"i"` instants and `ph:"C"` counter samples.
 
+use crate::json::write_str;
 use std::fmt::Write as _;
 
 /// A value attached to an event's `args` map.
@@ -175,7 +176,7 @@ impl TraceLog {
                 out.push(',');
             }
             out.push_str("\n{\"name\":");
-            write_json_string(&mut out, &e.name);
+            write_str(&mut out, &e.name);
             let _ = write!(out, ",\"cat\":\"{}\",\"ph\":\"{}\",\"ts\":{}", e.cat, e.ph, e.ts);
             if let Some(dur) = e.dur {
                 let _ = write!(out, ",\"dur\":{dur}");
@@ -192,7 +193,7 @@ impl TraceLog {
                         ArgValue::Int(n) => {
                             let _ = write!(out, "{n}");
                         }
-                        ArgValue::Str(s) => write_json_string(&mut out, s),
+                        ArgValue::Str(s) => write_str(&mut out, s),
                     }
                 }
                 out.push('}');
@@ -202,26 +203,6 @@ impl TraceLog {
         out.push_str("\n]}\n");
         out
     }
-}
-
-/// Writes `s` as a JSON string literal (quotes included) into `out`,
-/// escaping quotes, backslashes and control characters.
-pub fn write_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]
@@ -275,12 +256,5 @@ mod tests {
         a.extend(&b);
         assert_eq!(a.len(), 2);
         assert_eq!(a.events()[1].name, "second");
-    }
-
-    #[test]
-    fn string_escaping() {
-        let mut out = String::new();
-        write_json_string(&mut out, "a\"b\\c\nd\u{1}");
-        assert_eq!(out, "\"a\\\"b\\\\c\\nd\\u0001\"");
     }
 }

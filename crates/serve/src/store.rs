@@ -20,6 +20,7 @@
 //! one entry) still leaves a complete entry thanks to the cache's
 //! atomic tmp+rename store.
 
+use cfd_exec::json::quote;
 use cfd_exec::{DiskCache, Json, CACHE_VERSION};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -139,7 +140,7 @@ impl ArtifactStore {
             if i > 0 {
                 s.push(',');
             }
-            let _ = write!(s, "\"{kind}\":{{\"entries\":{entries},\"bytes\":{bytes}}}");
+            let _ = write!(s, "{}:{{\"entries\":{entries},\"bytes\":{bytes}}}", quote(kind));
         }
         s.push_str("}}\n");
         let path = self.root.join("index.json");

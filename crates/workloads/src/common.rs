@@ -1,6 +1,6 @@
 //! Shared workload infrastructure: variants, scales, verification.
 
-use cfd_isa::{Machine, MemImage, Program, Reg, SimError};
+use cfd_isa::{Fnv1a, Machine, MemImage, Program, Reg, SimError};
 use std::fmt;
 
 /// Which transformation of a kernel to build (paper §VII).
@@ -174,12 +174,9 @@ impl Workload {
         m.run(4_000_000_000, &mut cfd_isa::NullSink)?;
         let mut out: Vec<i64> = self.observable.iter().map(|&r| m.regs.read(r)).collect();
         for &(addr, len) in &self.check_ranges {
-            let mut h: u64 = 0xcbf29ce484222325;
-            for b in m.mem.read_bytes(addr, len as usize) {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100000001b3);
-            }
-            out.push(h as i64);
+            let mut h = Fnv1a::new();
+            h.write(&m.mem.read_bytes(addr, len as usize));
+            out.push(h.finish() as i64);
         }
         Ok(out)
     }

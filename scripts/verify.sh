@@ -162,21 +162,14 @@ target/release/cfd-serve logcheck --log "$serve/l2.jsonl" > "$serve/l2.canon"
 cmp "$serve/l1.canon" "$serve/l2.canon"
 
 echo "== simperf: profiled throughput snapshot, stage shares must sum to 100%"
-# The soft floor warns; the hard floor (exit 3) is the null-host overhead
-# gate: the host-port refactor promises unarmed telemetry/fault/control
-# ports cost nothing measurable, so even the slowest catalog workload must
-# clear 100 KIPS (nominal worst case under the profiler is astar_r1_like
-# at ~190-330 KIPS on a 2-vCPU Xeon VM, depending on host load — a ~2-3x
-# margin so only a real regression, not host noise, trips it). --append
-# records the run into the KIPS trajectory artifact (one JSONL record per
-# run), giving a before/after table across refactors.
-target/release/experiments simperf --profile --min-kips 250 --min-kips-hard 100 --append > "$serve/simperf.txt"
+# The soft floor warns; the hard floor (exit 3) is a gross-regression
+# gate: even the slowest catalog workload must clear 100 KIPS under the
+# profiler (nominal worst case is astar_r1_like at ~190-330 KIPS on a
+# 2-vCPU Xeon VM, depending on host load — a ~2-3x margin so only a real
+# regression, not host noise, trips it). The committed throughput
+# trajectory is BENCH_perf.json, written by scripts/bench.sh.
+target/release/experiments simperf --profile --min-kips 250 --min-kips-hard 100 > "$serve/simperf.txt"
 grep -q 'stage shares sum to 100.00%' "$serve/simperf.txt"
-test -s artifacts/BENCH_simperf.json
-# --append makes the JSON artifact a trajectory: one record per run.
-target/release/experiments simperf --scale 40 --json "$serve/perf.jsonl" --append > /dev/null
-target/release/experiments simperf --scale 40 --json "$serve/perf.jsonl" --append > /dev/null
-[[ "$(wc -l < "$serve/perf.jsonl")" == "2" ]]
 
 echo "== checkpoint-determinism gate: quarter-point restores must be byte-identical"
 # `experiments ckpt` exits 2 on any in-process divergence; the cmp

@@ -42,6 +42,7 @@ use crate::stage_profile::{StageProfile, StageProfiler};
 use crate::stats::RunReport;
 use crate::trace::SnapRing;
 use cfd_isa::{MemImage, Program};
+use cfd_mem::Hierarchy;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -210,7 +211,8 @@ impl Core {
     /// [`CoreError::Config`] if the configured predictor name is unknown
     /// or a structural parameter is out of range.
     pub fn new(cfg: CoreConfig, program: Program, mem: MemImage) -> Result<Core, CoreError> {
-        Ok(Core { p: Pipeline::new(cfg, program, mem)? })
+        let hier = Hierarchy::new(cfg.hierarchy.clone());
+        Ok(Core { p: Pipeline::new(cfg, program, mem, hier)? })
     }
 
     /// Arms one deterministic fault injection (see [`crate::fault`]).

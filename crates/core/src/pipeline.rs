@@ -290,7 +290,16 @@ pub(crate) struct Pipeline {
 }
 
 impl Pipeline {
-    pub(crate) fn new(cfg: CoreConfig, program: Program, mem: MemImage) -> Result<Pipeline, CoreError> {
+    /// Builds an empty pipeline over `program` and `mem` whose data
+    /// accesses go to `hier`, a hierarchy for `cfg.hierarchy`:
+    /// [`Core::new`](crate::Core::new) passes a fresh one, sampled
+    /// simulation a copy of its warm one.
+    pub(crate) fn new(
+        cfg: CoreConfig,
+        program: Program,
+        mem: MemImage,
+        hier: Hierarchy,
+    ) -> Result<Pipeline, CoreError> {
         if cfg.bq_size == 0 || cfg.vq_size == 0 || cfg.tq_size == 0 {
             return Err(CoreError::Config("queue sizes must be non-zero".into()));
         }
@@ -333,7 +342,7 @@ impl Pipeline {
             iq_count: 0,
             lsq_count: 0,
             checkpoints_free: cfg.n_checkpoints,
-            hier: Hierarchy::new(cfg.hierarchy.clone()),
+            hier,
             icache: l1i(),
             now: 0,
             next_seq: 0,

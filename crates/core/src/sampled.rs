@@ -20,11 +20,17 @@
 //! replays its data access through a warm hierarchy, trains a warm
 //! direction predictor with immediate update (the same replay idiom as
 //! `cfd-profile`) and fills a warm BTB; each detailed slice starts from
-//! clones of these warm structures. The warmup slice then only has to
-//! refill short-lived pipeline state, and the residual warming error is
-//! the dominant error term. `cfd-bench`'s `simperf --sampled`
-//! cross-checks the estimate against full-detail IPC per catalog workload
-//! and enforces the error bound stated there.
+//! copies of these warm structures. Only the first slice of a
+//! [`run_sampled`] call clones the warm data hierarchy; every later slice
+//! refreshes the previous slice's hierarchy in place with `clone_from`, so
+//! a call allocates one slice hierarchy (with its multi-MiB L3 tag array)
+//! rather than one per slice.
+//!
+//! The warmup slice then only has to refill short-lived pipeline state,
+//! and the residual warming error is the dominant error term.
+//! `cfd-bench`'s `simperf --sampled` cross-checks the estimate against
+//! full-detail IPC per catalog workload and enforces the error bound
+//! stated there.
 
 use crate::config::CoreConfig;
 use crate::core::{Core, CoreError};
@@ -84,14 +90,14 @@ impl SampledReport {
 }
 
 impl Pipeline {
-    /// Builds a drained pipeline mid-program from a functional machine:
-    /// both oracles resume from clones of `m`, fetch starts at the
-    /// machine's PC, the architectural registers seed the freshly-mapped
-    /// physical registers, and the committed CFD-queue state (BQ contents,
-    /// TQ contents + TCR, VQ values) is reconstructed exactly as the
-    /// `Restore_*` context-switch macro-ops do it.
-    pub(crate) fn from_machine(cfg: CoreConfig, m: &Machine) -> Result<Pipeline, CoreError> {
-        let mut p = Pipeline::new(cfg, m.program().clone(), MemImage::new())?;
+    /// Builds a drained pipeline mid-program from a functional machine, on
+    /// the data hierarchy `hier`: both oracles resume from clones of `m`,
+    /// fetch starts at the machine's PC, the architectural registers seed
+    /// the freshly-mapped physical registers, and the committed CFD-queue
+    /// state (BQ contents, TQ contents + TCR, VQ values) is reconstructed
+    /// exactly as the `Restore_*` context-switch macro-ops do it.
+    pub(crate) fn from_machine(cfg: CoreConfig, m: &Machine, hier: Hierarchy) -> Result<Pipeline, CoreError> {
+        let mut p = Pipeline::new(cfg, m.program().clone(), MemImage::new(), hier)?;
         p.oracle = m.clone();
         p.fetch_oracle = m.clone();
         p.fetch_pc = m.pc();
@@ -184,11 +190,11 @@ impl Warmer {
         }
     }
 
-    /// Seeds a freshly reconstructed pipeline with the warm structures and
-    /// resumes its clock from the warm clock (keeping hierarchy time
-    /// monotonic across the functional/detailed boundary).
+    /// Seeds a freshly reconstructed pipeline with the warm L1I, predictor
+    /// and BTB (its data hierarchy is already a copy of the warm one, see
+    /// [`run_sampled`]) and resumes its clock from the warm clock (keeping
+    /// hierarchy time monotonic across the functional/detailed boundary).
     fn seed(&self, p: &mut Pipeline) {
-        p.hier = self.hier.clone();
         p.icache = self.icache.clone();
         p.predictor = self.predictor.clone();
         p.btb = self.btb.clone();
@@ -235,6 +241,9 @@ pub fn run_sampled(
     };
     let err = |e: cfd_isa::SimError| CoreError::Program(e.to_string());
     let mut warm = Warmer::new(&cfg)?;
+    // The previous slice's data hierarchy, which the next slice refreshes
+    // from the warm one in place (see the module doc).
+    let mut spare: Option<Hierarchy> = None;
     loop {
         // Functional fast-forward through the period's untimed stretch,
         // warming caches/BTB/predictor as it goes.
@@ -249,7 +258,14 @@ pub fn run_sampled(
         }
         // Detailed slice from warm structures: warmup (discarded) then
         // measurement, each driven until its retirement target (or halt).
-        let mut p = Pipeline::from_machine(cfg.clone(), &m)?;
+        let hier = match spare.take() {
+            Some(mut h) => {
+                h.clone_from(&warm.hier);
+                h
+            }
+            None => warm.hier.clone(),
+        };
+        let mut p = Pipeline::from_machine(cfg.clone(), &m, hier)?;
         warm.seed(&mut p);
         let slice_limit = p.now.saturating_add(cycle_limit);
         let mut core = Core { p };
@@ -267,6 +283,7 @@ pub fn run_sampled(
         // warming) so the next period resumes where detailed timing
         // stopped.
         let consumed = p.stats.retired;
+        spare = Some(p.hier);
         let mut advanced = 0u64;
         while advanced < consumed && !m.halted() {
             m.step(&mut |ev: &RetireEvent| warm.observe(ev)).map_err(err)?;

@@ -66,7 +66,7 @@ impl CacheStats {
 }
 
 /// A set-associative, true-LRU, write-back cache (tags only).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Cache {
     cfg: CacheConfig,
     sets: usize,
@@ -213,6 +213,25 @@ impl Cache {
     }
 }
 
+impl Clone for Cache {
+    fn clone(&self) -> Cache {
+        let Cache { cfg, sets, lines, stats } = self;
+        Cache { cfg: *cfg, sets: *sets, lines: lines.clone(), stats: *stats }
+    }
+
+    /// Copies `source` into this cache's line buffer, which is reused
+    /// (not reallocated) when it already holds enough lines: sampled
+    /// simulation refreshes one slice hierarchy from the warm one this way
+    /// instead of allocating a fresh multi-MiB L3 per slice.
+    fn clone_from(&mut self, source: &Cache) {
+        let Cache { cfg, sets, lines, stats } = self;
+        *cfg = source.cfg;
+        *sets = source.sets;
+        lines.clone_from(&source.lines);
+        *stats = source.stats;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -293,6 +312,45 @@ mod tests {
         let mut c = small();
         c.fill(0x000, false);
         assert_eq!(c.fill(0x000, false), None);
+    }
+
+    /// A seeded stream of (address, write) over a 128 KiB footprint.
+    fn stream(seed: u64, len: usize) -> Vec<(u64, bool)> {
+        let mut rng = cfd_isa::Rng::new(seed);
+        (0..len).map(|_| (rng.below(1 << 17), rng.chance(30))).collect()
+    }
+
+    /// Replays `s` through `c`, filling on every miss: each access's hit
+    /// and the eviction its fill caused.
+    fn replay(c: &mut Cache, s: &[(u64, bool)]) -> Vec<(bool, Option<Eviction>)> {
+        s.iter()
+            .map(|&(addr, write)| {
+                let hit = c.access(addr, write);
+                (hit, if hit { None } else { c.fill(addr, write) })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn clone_from_matches_clone_and_reuses_equal_geometry() {
+        let l1 = |kb: usize| CacheConfig { size_bytes: kb * 1024, ways: 8, block_bits: 6 };
+        // Equal geometry, then the 8 KB / 32 KB L1 pair a DSE sweep varies.
+        for (from, to) in [(32, 32), (8, 32), (32, 8)] {
+            let mut src = Cache::new(l1(from));
+            replay(&mut src, &stream(1, 4000));
+            let mut dst = Cache::new(l1(to));
+            replay(&mut dst, &stream(2, 500));
+            let buf = dst.lines.as_ptr();
+            dst.clone_from(&src);
+            if from == to {
+                assert_eq!(dst.lines.as_ptr(), buf, "equal geometry must reuse the line buffer");
+            }
+            assert_eq!(dst.config(), src.config());
+            let mut fresh = src.clone();
+            let tail = stream(3, 4000);
+            assert_eq!(replay(&mut dst, &tail), replay(&mut fresh, &tail), "{from} KB into {to} KB");
+            assert_eq!(dst.stats, fresh.stats);
+        }
     }
 
     #[test]

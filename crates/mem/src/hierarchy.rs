@@ -95,7 +95,7 @@ pub struct AccessResult {
 }
 
 /// The cache hierarchy.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Hierarchy {
     cfg: HierarchyConfig,
     l1: Cache,
@@ -271,6 +271,39 @@ impl Hierarchy {
     }
 }
 
+impl Clone for Hierarchy {
+    fn clone(&self) -> Hierarchy {
+        let Hierarchy { cfg, l1, l2, l3, mshr, next_line, stride, level_counts, prefetch_fills } = self;
+        Hierarchy {
+            cfg: cfg.clone(),
+            l1: l1.clone(),
+            l2: l2.clone(),
+            l3: l3.clone(),
+            mshr: mshr.clone(),
+            next_line: next_line.clone(),
+            stride: stride.clone(),
+            level_counts: *level_counts,
+            prefetch_fills: *prefetch_fills,
+        }
+    }
+
+    /// Copies `source` level by level into this hierarchy's existing tag
+    /// arrays (as `Cache::clone_from` does): with equal geometry the three
+    /// caches allocate nothing.
+    fn clone_from(&mut self, source: &Hierarchy) {
+        let Hierarchy { cfg, l1, l2, l3, mshr, next_line, stride, level_counts, prefetch_fills } = self;
+        cfg.clone_from(&source.cfg);
+        l1.clone_from(&source.l1);
+        l2.clone_from(&source.l2);
+        l3.clone_from(&source.l3);
+        mshr.clone_from(&source.mshr);
+        next_line.clone_from(&source.next_line);
+        stride.clone_from(&source.stride);
+        *level_counts = source.level_counts;
+        *prefetch_fills = source.prefetch_fills;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -368,6 +401,46 @@ mod tests {
         // A read now hits.
         let r = hi.access(0x40, 0x6_0000, false, 300);
         assert_eq!(r.level, MemLevel::L1);
+    }
+
+    #[test]
+    fn clone_from_matches_clone() {
+        let cfg = HierarchyConfig { next_line_prefetch: true, stride_prefetch: true, ..Default::default() };
+        // Sixteen PCs: even ones load with a per-PC stride (training the
+        // stride prefetcher), odd ones load or store random blocks.
+        let mut rng = cfd_isa::Rng::new(7);
+        let mut next = [0u64; 16];
+        let stream: Vec<(u64, u64, bool)> = (0..6000)
+            .map(|_| {
+                let k = rng.below(16) as usize;
+                next[k] += 64 * (k as u64 + 1);
+                if k % 2 == 0 {
+                    (k as u64 * 4, (k as u64) << 24 | next[k], false)
+                } else {
+                    (k as u64 * 4, rng.below(1 << 22), rng.chance(30))
+                }
+            })
+            .collect();
+        // One access every 32 cycles keeps the MSHR file mostly below full,
+        // so prefetches and merges shape the results.
+        let run = |hi: &mut Hierarchy, s: &[(u64, u64, bool)], t0: u64| -> Vec<AccessResult> {
+            let out = s.iter().zip(t0..).map(|(&(pc, addr, write), t)| hi.access(pc, addr, write, t * 32)).collect();
+            hi.advance((t0 + s.len() as u64) * 32);
+            out
+        };
+        // The copy takes the source's prefetchers along with its state.
+        let mut src = Hierarchy::new(cfg);
+        run(&mut src, &stream[..3000], 0);
+        let mut dst = h();
+        run(&mut dst, &stream[3000..3500], 0);
+        dst.clone_from(&src);
+        assert_eq!(dst.config(), src.config());
+        let mut fresh = src.clone();
+        assert_eq!(run(&mut dst, &stream[3000..], 3000), run(&mut fresh, &stream[3000..], 3000));
+        assert_eq!(dst.cache_stats(), fresh.cache_stats());
+        assert_eq!(dst.level_counts, fresh.level_counts);
+        assert_eq!(dst.prefetch_fills, fresh.prefetch_fills);
+        assert_eq!(dst.mshr_histogram(), fresh.mshr_histogram());
     }
 
     #[test]

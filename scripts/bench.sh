@@ -24,6 +24,7 @@
 # history.
 set -euo pipefail
 root=$(cd "$(dirname "$0")/.." && pwd)
+source "$root/scripts/bench-common.sh"
 checkout=$(cd "${1:-$root}" && pwd)
 runs=3
 seed=1
@@ -33,19 +34,7 @@ if [[ -n $(git -C "$checkout" status --porcelain --untracked-files=no -- . ':(ex
     echo "bench.sh: $checkout has uncommitted changes; commit them so the rows name a commit" >&2
     exit 1
 fi
-# The benchmark command, from BENCHMARK.json's one-line-per-word array.
-mapfile -t cmd < <(awk '/"command"/ {on = 1; next} on && /\]/ {exit} on {gsub(/[",[:space:]]/, ""); print}' \
-    "$checkout/BENCHMARK.json")
-seconds=$(awk -F: '/"run_seconds"/ {gsub(/[,[:space:]]/, "", $2); print $2}' "$checkout/BENCHMARK.json")
-workloads=$(awk '/"workloads"/ {on = 1} on && /"name"/ {gsub(/.*"name": *"|".*/, ""); print} on && /^  \]/ {exit}' \
-    "$checkout/BENCHMARK.json")
-
-# `median min iqr` of the numbers on stdin.
-stats() {
-    sort -g | awk '{v[NR] = $1}
-        function q(p,   h, l) { h = 1 + p * (NR - 1); l = int(h); return v[l] + (h - l) * (v[l + 1] - v[l]) }
-        END { v[NR + 1] = v[NR]; printf "%.6g %.6g %.6g\n", q(0.5), v[1], q(0.75) - q(0.25) }'
-}
+read_benchmark "$checkout"
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
@@ -65,12 +54,12 @@ for w in $workloads; do
         echo "bench.sh: $w: $failed failed operations" >&2
         exit 1
     fi
-    host_factor=$(awk '$1 == "host_factor" {print $2}' "$tmp/$w".* | stats | cut -d' ' -f1)
+    host_factor=$(awk '$1 == "host_factor" {print $2}' "$tmp/$w".* | quartiles | awk '{printf "%.6g", $3}')
     names=$(grep -h '^{' "$tmp/$w.1" | grep -o '"[a-z_]*":{"value"' | cut -d'"' -f2)
     metrics=""
     for m in $names; do
-        read -r med min iqr < <(grep -h '^{' "$tmp/$w".* \
-            | grep -o "\"$m\":{\"value\":[^,}]*" | cut -d: -f3 | stats)
+        read -r med min iqr < <(metric_values "$m" "$tmp/$w".* | quartiles \
+            | awk '{printf "%.6g %.6g %.6g\n", $3, $1, $4 - $2}')
         metrics+="${metrics:+,}\"$m\":{\"median\":$med,\"min\":$min,\"iqr\":$iqr}"
     done
     line="{\"rev\":\"$rev\",\"date\":\"$(date -u +%FT%TZ)\",\"workload\":\"$w\",\"seed\":$seed,\"runs\":$runs"

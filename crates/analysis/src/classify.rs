@@ -63,22 +63,13 @@ impl fmt::Display for BranchClass {
     }
 }
 
-/// Classification thresholds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ClassifyConfig {
-    /// Control-dependent regions of at most this many instructions are
-    /// hammocks (profitable to if-convert).
-    pub hammock_max_instrs: usize,
-    /// Slice∩region overlaps of at most this many instructions keep a
-    /// branch *partially* separable (if-convertible first loop).
-    pub partial_max_overlap: usize,
-}
+/// Control-dependent regions of at most this many instructions are
+/// hammocks (profitable to if-convert).
+const HAMMOCK_MAX_INSTRS: usize = 4;
 
-impl Default for ClassifyConfig {
-    fn default() -> Self {
-        ClassifyConfig { hammock_max_instrs: 4, partial_max_overlap: 3 }
-    }
-}
+/// Slice∩region overlaps of at most this many instructions keep a branch
+/// *partially* separable (if-convertible first loop).
+const PARTIAL_MAX_OVERLAP: usize = 3;
 
 /// Classification result for one static branch.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -110,15 +101,8 @@ pub struct BranchReport {
 }
 
 /// Classifies every conditional branch of `program`.
-pub fn classify_program(program: &Program, cfg_opt: Option<&Cfg>, config: ClassifyConfig) -> Vec<BranchReport> {
-    let built;
-    let cfg = match cfg_opt {
-        Some(c) => c,
-        None => {
-            built = Cfg::build(program);
-            &built
-        }
-    };
+pub fn classify_program(program: &Program) -> Vec<BranchReport> {
+    let cfg = &Cfg::build(program);
     let dom = DomTree::dominators(cfg);
     let pdom = DomTree::post_dominators(cfg);
     let cd = ControlDeps::compute(cfg, &pdom);
@@ -130,7 +114,7 @@ pub fn classify_program(program: &Program, cfg_opt: Option<&Cfg>, config: Classi
             continue;
         }
         let pc = pc as u32;
-        reports.push(classify_branch(program, cfg, &cd, &loops, pc, config));
+        reports.push(classify_branch(program, cfg, &cd, &loops, pc));
     }
     reports
 }
@@ -139,14 +123,7 @@ fn innermost_loop(loops: &[NaturalLoop], block: usize) -> Option<&NaturalLoop> {
     loops.iter().filter(|l| l.contains(block)).min_by_key(|l| l.blocks.len())
 }
 
-fn classify_branch(
-    program: &Program,
-    cfg: &Cfg,
-    cd: &ControlDeps,
-    loops: &[NaturalLoop],
-    pc: u32,
-    config: ClassifyConfig,
-) -> BranchReport {
+fn classify_branch(program: &Program, cfg: &Cfg, cd: &ControlDeps, loops: &[NaturalLoop], pc: u32) -> BranchReport {
     let not_analyzed = || BranchReport {
         pc,
         class: BranchClass::NotAnalyzed,
@@ -227,11 +204,11 @@ fn classify_branch(
         if cd_region_instrs == 0 {
             // An exit/latch branch of this loop without inner-loop nesting.
             BranchClass::NotAnalyzed
-        } else if cd_region_instrs <= config.hammock_max_instrs {
+        } else if cd_region_instrs <= HAMMOCK_MAX_INSTRS {
             BranchClass::Hammock
         } else if overlap == 0 {
             BranchClass::SeparableTotal
-        } else if overlap <= config.partial_max_overlap {
+        } else if overlap <= PARTIAL_MAX_OVERLAP {
             BranchClass::SeparablePartial
         } else {
             BranchClass::Inseparable
@@ -311,10 +288,7 @@ mod tests {
     }
 
     fn classify_one(program: &Program, pc: u32) -> BranchReport {
-        classify_program(program, None, ClassifyConfig::default())
-            .into_iter()
-            .find(|r| r.pc == pc)
-            .expect("branch classified")
+        classify_program(program).into_iter().find(|r| r.pc == pc).expect("branch classified")
     }
 
     /// Builds a loop with a guarded region of `cd_len` filler instructions;
@@ -437,12 +411,11 @@ mod tests {
 
     #[test]
     fn hammock_cutoff_is_inclusive() {
-        // Region of exactly `hammock_max_instrs` is still a hammock; one
+        // Region of exactly `HAMMOCK_MAX_INSTRS` is still a hammock; one
         // more instruction tips it over.
-        let cutoff = ClassifyConfig::default().hammock_max_instrs;
-        let (p, bpc) = guarded_loop(cutoff, false);
+        let (p, bpc) = guarded_loop(HAMMOCK_MAX_INSTRS, false);
         assert_eq!(classify_one(&p, bpc).class, BranchClass::Hammock);
-        let (p, bpc) = guarded_loop(cutoff + 1, false);
+        let (p, bpc) = guarded_loop(HAMMOCK_MAX_INSTRS + 1, false);
         assert_eq!(classify_one(&p, bpc).class, BranchClass::SeparableTotal);
     }
 
@@ -483,10 +456,10 @@ mod tests {
     #[test]
     fn partial_overlap_edge_is_inclusive() {
         // 2 feedback registers + the heuristically-aliasing store land the
-        // overlap exactly on `partial_max_overlap`: still partial.
+        // overlap exactly on `PARTIAL_MAX_OVERLAP`: still partial.
         let (p, bpc) = mem_entangled_loop(2);
         let rep = classify_one(&p, bpc);
-        assert_eq!(rep.overlap_instrs, ClassifyConfig::default().partial_max_overlap);
+        assert_eq!(rep.overlap_instrs, PARTIAL_MAX_OVERLAP);
         assert_eq!(rep.class, BranchClass::SeparablePartial);
         assert_eq!(rep.heuristic_class, BranchClass::SeparablePartial);
     }

@@ -27,7 +27,7 @@
 //! # Example
 //!
 //! ```
-//! use cfd_analysis::{classify_program, BranchClass, ClassifyConfig};
+//! use cfd_analysis::{classify_program, BranchClass};
 //! use cfd_isa::{Assembler, Reg};
 //!
 //! let (i, n, p) = (Reg::new(1), Reg::new(2), Reg::new(3));
@@ -45,7 +45,7 @@
 //! a.blt(i, n, "top");
 //! a.halt();
 //! let program = a.finish()?;
-//! let reports = classify_program(&program, None, ClassifyConfig::default());
+//! let reports = classify_program(&program);
 //! assert!(reports.iter().any(|r| r.class == BranchClass::SeparableTotal));
 //! # Ok::<(), cfd_isa::AsmError>(())
 //! ```
@@ -65,7 +65,7 @@ mod verify;
 mod vrange;
 
 pub use cfg::{BasicBlock, Cfg};
-pub use classify::{classify_program, BranchClass, BranchReport, ClassifyConfig};
+pub use classify::{classify_program, BranchClass, BranchReport};
 pub use control_dep::ControlDeps;
 pub use diag::{Diagnostic, LintReport, QueueBounds, Rule, Severity};
 pub use dom::DomTree;
@@ -75,5 +75,5 @@ pub use slice::{backward_slice, backward_slice_with, AliasMode, Slice};
 pub use spec::{speculation_safety, DisjointClaim, LoadReport, LoadSafety, SpecReport};
 pub use transform::{apply_cfd, apply_cfd_spec, SpecDecision, SpecTransformReport, TransformError, TransformReport};
 pub use transform_tq::apply_cfd_tq;
-pub use verify::{lint_program, lint_speculation, LintConfig};
+pub use verify::{lint_program, lint_speculation};
 pub use vrange::{AddrRange, Expr, IndInfo, LoopValues, MemRef};

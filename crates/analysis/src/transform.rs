@@ -22,7 +22,7 @@
 //! like a compiler pass bailing out.
 
 use crate::cfg::Cfg;
-use crate::classify::{classify_program, BranchClass, ClassifyConfig};
+use crate::classify::{classify_program, BranchClass};
 use crate::dom::DomTree;
 use crate::loops::find_loops;
 use cfd_isa::{AluOp, AsmError, Assembler, BranchCond, Instr, Program, Reg};
@@ -125,7 +125,7 @@ fn apply_cfd_gated(
     // Classification gate: totally separable transforms directly;
     // partially separable additionally hoists + if-converts the short
     // loop-carried dependence into the first loop (§III).
-    let report = classify_program(program, None, ClassifyConfig::default())
+    let report = classify_program(program)
         .into_iter()
         .find(|r| r.pc == branch_pc)
         .ok_or(TransformError::NotABranch(branch_pc))?;
@@ -380,7 +380,7 @@ fn apply_cfd_gated(
     }
     let new_program = a.finish()?;
     let static_instrs = (program.len(), new_program.len());
-    let lint = crate::lint_program(&new_program, &crate::LintConfig { bq_size: chunk, ..crate::LintConfig::default() });
+    let lint = crate::lint_program(&new_program, &cfd_isa::QueueConfig { bq_size: chunk, ..Default::default() });
     Ok(TransformReport { program: new_program, chunk, static_instrs, lint })
 }
 
@@ -444,7 +444,7 @@ pub fn apply_cfd_spec(
     tq_size: usize,
     scratch: &[Reg],
 ) -> Result<SpecTransformReport, TransformError> {
-    let class_report = classify_program(program, None, ClassifyConfig::default())
+    let class_report = classify_program(program)
         .into_iter()
         .find(|r| r.pc == branch_pc)
         .ok_or(TransformError::NotABranch(branch_pc))?;
@@ -792,8 +792,7 @@ mod tests {
     #[test]
     fn spec_kernel_upgrades_and_transforms_cleanly() {
         let (program, bpc, mem) = spec_kernel(100);
-        let class =
-            classify_program(&program, None, ClassifyConfig::default()).into_iter().find(|c| c.pc == bpc).unwrap();
+        let class = classify_program(&program).into_iter().find(|c| c.pc == bpc).unwrap();
         assert_eq!(class.class, BranchClass::SpeculativelySeparable);
         assert_eq!(class.heuristic_class, BranchClass::Inseparable);
         let t = apply_cfd_spec(&program, bpc, 64, 64, &[r(20), r(21), r(22), r(23)]).unwrap();

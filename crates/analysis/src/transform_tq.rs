@@ -19,7 +19,7 @@
 //! loop with `Branch_on_TCR`, strip-mined to the TQ size.
 
 use crate::cfg::Cfg;
-use crate::classify::{classify_program, BranchClass, ClassifyConfig};
+use crate::classify::{classify_program, BranchClass};
 use crate::dom::DomTree;
 use crate::loops::{find_loops, is_nested};
 use crate::transform::{TransformError, TransformReport};
@@ -46,7 +46,7 @@ pub fn apply_cfd_tq(
     let (s_end, s_save, s_lim, s_n) = (scratch[0], scratch[1], scratch[2], scratch[3]);
 
     // Classification gate.
-    let report = classify_program(program, None, ClassifyConfig::default())
+    let report = classify_program(program)
         .into_iter()
         .find(|r| r.pc == branch_pc)
         .ok_or(TransformError::NotABranch(branch_pc))?;
@@ -238,7 +238,7 @@ pub fn apply_cfd_tq(
     }
     let new_program = a.finish()?;
     let static_instrs = (program.len(), new_program.len());
-    let lint = crate::lint_program(&new_program, &crate::LintConfig { tq_size, ..crate::LintConfig::default() });
+    let lint = crate::lint_program(&new_program, &cfd_isa::QueueConfig { tq_size, ..Default::default() });
     Ok(TransformReport { program: new_program, chunk: tq_size, static_instrs, lint })
 }
 

@@ -46,45 +46,12 @@ use crate::loops::{find_loops, is_nested, NaturalLoop};
 use cfd_isa::{AluOp, BranchCond, Instr, Program, QueueConfig, QueueKind, QueueOpKind, Src2};
 use std::collections::{BTreeSet, HashMap};
 
-/// Queue sizes the lint proves occupancy against. Mirrors
-/// [`QueueConfig`]; the default matches the simulator's default.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LintConfig {
-    /// Branch Queue capacity.
-    pub bq_size: usize,
-    /// Value Queue capacity.
-    pub vq_size: usize,
-    /// Trip-count Queue capacity.
-    pub tq_size: usize,
-    /// Architected trip-count width in bits (bounds TCR-driven trips).
-    pub tq_trip_bits: u32,
-}
-
-impl From<&QueueConfig> for LintConfig {
-    fn from(q: &QueueConfig) -> Self {
-        LintConfig { bq_size: q.bq_size, vq_size: q.vq_size, tq_size: q.tq_size, tq_trip_bits: q.tq_trip_bits }
-    }
-}
-
-impl From<QueueConfig> for LintConfig {
-    fn from(q: QueueConfig) -> Self {
-        (&q).into()
-    }
-}
-
-impl Default for LintConfig {
-    fn default() -> Self {
-        (&QueueConfig::default()).into()
-    }
-}
-
-impl LintConfig {
-    fn size_of(&self, q: usize) -> usize {
-        match q {
-            QBQ => self.bq_size,
-            QVQ => self.vq_size,
-            _ => self.tq_size,
-        }
+/// Capacity of queue index `q` (`QBQ`, `QVQ` or `QTQ`) under `config`.
+fn size_of(config: &QueueConfig, q: usize) -> usize {
+    match q {
+        QBQ => config.bq_size,
+        QVQ => config.vq_size,
+        _ => config.tq_size,
     }
 }
 
@@ -503,7 +470,7 @@ struct Lint<'a> {
     loops: Vec<NaturalLoop>,
     parent: Vec<Option<usize>>,
     header_loop: HashMap<usize, usize>,
-    config: &'a LintConfig,
+    config: &'a QueueConfig,
     vars: Vec<VarInfo>,
     diags: Vec<Diagnostic>,
     max_occ: [i64; 3],
@@ -522,11 +489,12 @@ struct Lint<'a> {
     atoms: std::collections::BTreeMap<Expr, VarId>,
 }
 
-/// Statically verifies `program`'s CFD queue discipline against the
-/// configured queue sizes. See the module docs for the rule set and the
-/// trust assumptions. Never panics: irreducible or otherwise
-/// unanalyzable control flow is reported as a diagnostic.
-pub fn lint_program(program: &Program, config: &LintConfig) -> LintReport {
+/// Statically verifies `program`'s CFD queue discipline against the queue
+/// sizes in `config` (the trip-count width bounds TCR-driven trips). See
+/// the module docs for the rule set and the trust assumptions. Never
+/// panics: irreducible or otherwise unanalyzable control flow is reported
+/// as a diagnostic.
+pub fn lint_program(program: &Program, config: &QueueConfig) -> LintReport {
     let cfg = Cfg::build(program);
     if program.instrs().is_empty() {
         return LintReport { diagnostics: Vec::new(), bounds: QueueBounds { bq: Some(0), vq: Some(0), tq: Some(0) } };
@@ -1409,7 +1377,7 @@ impl<'a> Lint<'a> {
             }
             Some(u) => {
                 self.max_occ[qi] = self.max_occ[qi].max(u);
-                let size = self.config.size_of(qi) as i64;
+                let size = size_of(self.config, qi) as i64;
                 if u > size {
                     self.emit(
                         Rule::Overflow,

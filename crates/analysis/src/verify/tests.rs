@@ -6,7 +6,7 @@ fn r(i: usize) -> Reg {
 }
 
 fn lint(p: &Program) -> LintReport {
-    lint_program(p, &LintConfig::default())
+    lint_program(p, &QueueConfig::default())
 }
 
 fn has(rep: &LintReport, rule: Rule, pc: u32) -> bool {

@@ -2,12 +2,9 @@
 //! programs must satisfy the textbook dominance/control-dependence laws.
 //! Cases come from the in-repo seeded harness (`cfd_isa::prop_check`).
 
-use cfd_analysis::{
-    backward_slice, classify_program, find_loops, lint_program, Cfg, ClassifyConfig, DomTree, LintConfig, Rule,
-    Severity,
-};
+use cfd_analysis::{backward_slice, classify_program, find_loops, lint_program, Cfg, DomTree, Rule, Severity};
 use cfd_isa::check::Rng;
-use cfd_isa::{prop_check, Assembler, Program, Reg};
+use cfd_isa::{prop_check, Assembler, Program, QueueConfig, Reg};
 
 /// A random structured program: a chain of `segments`, each either
 /// straight-line code, an if (optionally with else), or a counted loop whose
@@ -148,7 +145,7 @@ fn loops_have_dominating_headers() {
 fn lint_is_clean_on_random_queue_free_programs() {
     prop_check!(48, |rng| {
         let program = build(&segments(rng));
-        let rep = lint_program(&program, &LintConfig::default());
+        let rep = lint_program(&program, &QueueConfig::default());
         assert!(rep.clean(), "{}", rep.table());
         assert_eq!(rep.bounds.bq, Some(0));
         assert_eq!(rep.bounds.vq, Some(0));
@@ -161,7 +158,7 @@ fn lint_is_clean_on_random_queue_free_programs() {
 fn lint_handles_empty_program() {
     let mut a = Assembler::new();
     a.halt();
-    let rep = lint_program(&a.finish().unwrap(), &LintConfig::default());
+    let rep = lint_program(&a.finish().unwrap(), &QueueConfig::default());
     assert!(rep.clean(), "{}", rep.table());
     assert_eq!(rep.bounds.bq, Some(0));
 }
@@ -180,7 +177,7 @@ fn lint_skips_unreachable_blocks() {
     a.label("live");
     a.addi(r(5), r(5), 1);
     a.halt();
-    let rep = lint_program(&a.finish().unwrap(), &LintConfig::default());
+    let rep = lint_program(&a.finish().unwrap(), &QueueConfig::default());
     assert!(rep.clean(), "{}", rep.table());
     assert!(
         rep.diagnostics.iter().any(|d| d.rule == Rule::UnreachableCode),
@@ -207,7 +204,7 @@ fn lint_checks_fallthrough_into_exit() {
     a.branch_on_bq("out");
     a.label("out");
     a.halt();
-    let rep = lint_program(&a.finish().unwrap(), &LintConfig::default());
+    let rep = lint_program(&a.finish().unwrap(), &QueueConfig::default());
     assert!(!rep.clean(), "missed the unbalanced fallthrough exit");
     assert!(
         rep.diagnostics.iter().any(|d| d.rule == Rule::UnbalancedAtExit && d.severity == Severity::Error),
@@ -230,7 +227,7 @@ fn lint_flags_irreducible_loop() {
     a.addi(r(6), r(6), 1);
     a.bnez(r(6), "l1"); // closes the l1 <-> l2 cycle
     a.halt();
-    let rep = lint_program(&a.finish().unwrap(), &LintConfig::default());
+    let rep = lint_program(&a.finish().unwrap(), &QueueConfig::default());
     assert!(!rep.clean());
     assert!(
         rep.diagnostics.iter().any(|d| d.rule == Rule::IrreducibleCfg && d.severity == Severity::Error),
@@ -247,7 +244,7 @@ fn classification_is_total_and_slices_are_in_loops() {
         let cfg = Cfg::build(&program);
         let dom = DomTree::dominators(&cfg);
         let loops = find_loops(&cfg, &dom);
-        let reports = classify_program(&program, Some(&cfg), ClassifyConfig::default());
+        let reports = classify_program(&program);
         // Every plain conditional branch gets exactly one report.
         let branch_count = program.instrs().iter().filter(|x| x.is_plain_conditional()).count();
         assert_eq!(reports.len(), branch_count);

@@ -49,9 +49,10 @@
 //!   --jobs N        worker threads for simulations (default $CFD_JOBS or 1);
 //!                   results are byte-identical at any worker count
 //!   --no-cache      bypass the on-disk result cache (target/cfd-cache)
-//!   --resume        resume an interrupted campaign from its job journal:
-//!                   replay completed work from the cache and re-execute
-//!                   only jobs that never finished
+//!   --resume        resume an interrupted campaign: replay completed
+//!                   work from the cache, honour the job journal's strikes
+//!                   and quarantine ledger, and re-execute only jobs that
+//!                   never finished
 //!   --retries N     re-run failed jobs up to N extra times in
 //!                   deterministic fingerprint order; jobs that exhaust
 //!                   their retries are quarantined in the journal ledger

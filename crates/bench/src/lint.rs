@@ -11,11 +11,11 @@
 //! also carries the static per-branch class table of its source program.
 
 use cfd_analysis::{
-    apply_cfd, apply_cfd_spec, apply_cfd_tq, classify_program, lint_program, BranchClass, ClassifyConfig, Diagnostic,
-    LintConfig, LintReport, QueueBounds, Rule, Severity,
+    apply_cfd, apply_cfd_spec, apply_cfd_tq, classify_program, lint_program, BranchClass, Diagnostic, LintReport,
+    QueueBounds, Rule, Severity,
 };
 use cfd_exec::{CampaignJob, Engine, Fingerprint, Hasher};
-use cfd_isa::{Assembler, Program, QueueKind, Reg};
+use cfd_isa::{Assembler, Program, QueueConfig, QueueKind, Reg};
 use cfd_obs::json::{quote, Json};
 use cfd_workloads::{catalog, PaperClass, Scale, Variant};
 
@@ -37,92 +37,11 @@ pub struct LintRow {
 /// `(pc, class-display)` pairs. Computed at row-assembly time — never
 /// inside a cached engine job — so the lint cache format is untouched.
 fn branch_classes(program: &Program) -> Vec<(u32, String)> {
-    classify_program(program, None, ClassifyConfig::default())
+    classify_program(program)
         .into_iter()
         .filter(|r| r.class != BranchClass::NotAnalyzed)
         .map(|r| (r.pc, r.class.to_string()))
         .collect()
-}
-
-/// Lints every `(kernel, variant)` pair in the catalog at `scale`.
-///
-/// The scale only affects constants baked into the programs (trip
-/// counts); the verifier itself is static, so any scale exercises the
-/// same code shape.
-pub fn lint_catalog(scale: Scale) -> Vec<LintRow> {
-    let config = LintConfig::default();
-    let mut rows = Vec::new();
-    for entry in catalog() {
-        for &variant in entry.variants {
-            let w = entry.build(variant, scale);
-            rows.push(LintRow {
-                kernel: entry.name.to_string(),
-                variant: variant.label().to_string(),
-                classes: branch_classes(&w.program),
-                report: lint_program(&w.program, &config),
-            });
-        }
-    }
-    rows
-}
-
-/// Lints the outputs of the automatic decoupling transforms: each
-/// [`cfd_analysis::TransformReport`] already carries the lint verdict
-/// of its rewritten program (translation validation), so the rows here
-/// simply surface those verdicts — one per `(kernel, chunk)` pair — for
-/// the canonical separable kernel and loop-branch nest, plus every
-/// catalog base kernel whose branch of interest the transform accepts.
-pub fn lint_transforms() -> Vec<LintRow> {
-    let scratch: Vec<Reg> = (28..32).map(Reg::new).collect();
-    let mut rows = Vec::new();
-
-    let (program, bpc) = canonical_separable_kernel();
-    for chunk in [8usize, 128] {
-        let t = apply_cfd(&program, bpc, chunk, &scratch).expect("canonical kernel transforms");
-        rows.push(LintRow {
-            kernel: "canonical_separable".to_string(),
-            variant: format!("apply_cfd/{chunk}"),
-            classes: branch_classes(&program),
-            report: t.lint,
-        });
-    }
-    let (program, bpc) = canonical_loop_branch_kernel();
-    for tq in [64usize, 256] {
-        let t = apply_cfd_tq(&program, bpc, tq, &scratch).expect("canonical nest transforms");
-        rows.push(LintRow {
-            kernel: "canonical_loop_branch".to_string(),
-            variant: format!("apply_cfd_tq/{tq}"),
-            classes: branch_classes(&program),
-            report: t.lint,
-        });
-    }
-
-    // Catalog base kernels: transform wherever the branch of interest
-    // matches the canonical shape the pass accepts.
-    for entry in catalog() {
-        let w = entry.build(Variant::Base, Scale { n: 400, seed: 9 });
-        for ib in &w.interest {
-            let t = match ib.class {
-                PaperClass::SeparableTotal | PaperClass::SeparablePartial => {
-                    apply_cfd(&w.program, ib.pc, 128, &scratch)
-                }
-                PaperClass::SeparableLoopBranch => apply_cfd_tq(&w.program, ib.pc, 256, &scratch),
-                PaperClass::SpeculativelySeparable => {
-                    apply_cfd_spec(&w.program, ib.pc, 128, 256, &scratch).map(|s| s.report)
-                }
-                _ => continue,
-            };
-            if let Ok(t) = t {
-                rows.push(LintRow {
-                    kernel: entry.name.to_string(),
-                    variant: format!("auto@pc{}", ib.pc),
-                    classes: branch_classes(&w.program),
-                    report: t.lint,
-                });
-            }
-        }
-    }
-    rows
 }
 
 /// The canonical totally separable kernel `apply_cfd` is specified
@@ -237,13 +156,6 @@ pub fn error_count(rows: &[LintRow]) -> usize {
     rows.iter().map(|r| r.report.error_count()).sum()
 }
 
-/// Runs the full sweep (catalog + transforms) at a small scale.
-pub fn lint_all() -> Vec<LintRow> {
-    let mut rows = lint_catalog(Scale { n: 400, seed: 9 });
-    rows.extend(lint_transforms());
-    rows
-}
-
 /// What a [`LintJob`] does to its program.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LintOp {
@@ -292,8 +204,7 @@ pub struct LintJob {
     pub op: LintOp,
 }
 
-/// Scratch registers the transform jobs hand to the rewrite passes
-/// (matches [`lint_transforms`]).
+/// Scratch registers the transform jobs hand to the rewrite passes.
 fn transform_scratch() -> Vec<Reg> {
     (28..32).map(Reg::new).collect()
 }
@@ -309,7 +220,7 @@ impl CampaignJob for LintJob {
         let mut h = Hasher::new();
         h.section("program", &self.program.stable_bytes());
         h.section("op", format!("{:?}", self.op).as_bytes());
-        h.section("config", format!("{:?}", LintConfig::default()).as_bytes());
+        h.section("config", format!("{:?}", QueueConfig::default()).as_bytes());
         h.finish()
     }
 
@@ -320,7 +231,7 @@ impl CampaignJob for LintJob {
     fn execute(&self) -> Option<LintReport> {
         let scratch = transform_scratch();
         match self.op {
-            LintOp::Lint => Some(lint_program(&self.program, &LintConfig::default())),
+            LintOp::Lint => Some(lint_program(&self.program, &QueueConfig::default())),
             LintOp::ApplyCfd { pc, chunk } => apply_cfd(&self.program, pc, chunk, &scratch).ok().map(|t| t.lint),
             LintOp::ApplyCfdTq { pc, tq } => apply_cfd_tq(&self.program, pc, tq, &scratch).ok().map(|t| t.lint),
             LintOp::ApplyCfdSpec { pc, chunk, tq } => {
@@ -433,8 +344,13 @@ fn queue_by_name(name: &str) -> Option<QueueKind> {
     [QueueKind::Bq, QueueKind::Vq, QueueKind::Tq].into_iter().find(|q| q.name() == name)
 }
 
-/// Enumerates the full lint sweep — catalog then transforms, in exactly
-/// the order [`lint_all`] visits them — as engine jobs.
+/// Enumerates the full lint sweep as engine jobs: every `(kernel,
+/// variant)` pair in the catalog, then the automatic decoupling
+/// transforms — the canonical separable kernel and loop-branch nest at
+/// two chunk sizes each, plus every catalog base kernel whose branch of
+/// interest a transform accepts. The scale only affects constants baked
+/// into the programs (trip counts); the verifier itself is static, so
+/// any scale exercises the same code shape.
 pub fn lint_jobs() -> Vec<LintJob> {
     let scale = Scale { n: 400, seed: 9 };
     let mut jobs = Vec::new();
@@ -487,9 +403,9 @@ pub fn lint_jobs() -> Vec<LintJob> {
     jobs
 }
 
-/// Runs the full lint sweep through the campaign engine. Produces the
-/// exact rows [`lint_all`] produces, in the same order, at any worker
-/// count; transform jobs whose rewrite rejects contribute no row.
+/// Runs the full lint sweep through the campaign engine. Rows come back
+/// in [`lint_jobs`] order at any worker count; transform jobs whose
+/// rewrite rejects contribute no row.
 pub fn lint_all_on(engine: &Engine) -> Vec<LintRow> {
     let jobs = lint_jobs();
     let results = engine.run_all(&jobs);

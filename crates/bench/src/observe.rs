@@ -96,7 +96,7 @@ pub fn observe(name: &str, opts: &ObserveOptions) -> Result<Observation, String>
     let width = cfg.width as u64;
     let failed = |e| format!("{name} [{}]: {e}", opts.variant);
     let mut core = Core::new(cfg, wl.program, wl.mem).map_err(failed)?;
-    let mut telemetry = Telemetry::new(TelemetryConfig { sample_interval: opts.interval, trace: true });
+    let mut telemetry = Telemetry::new(TelemetryConfig { sample_interval: opts.interval });
     core.drive(CYCLE_LIMIT, &mut telemetry).map_err(failed)?;
     let report = core.run(CYCLE_LIMIT).map_err(failed)?;
     Ok(Observation { name: name.to_string(), variant: opts.variant, report, telemetry: telemetry.report(), width })

@@ -6,7 +6,7 @@
 //! [`Handle`]. Results always come back in submission order, so the
 //! rendered tables are byte-identical at any `--jobs` count.
 
-use cfd_core::{Core, CoreConfig, RunReport};
+use cfd_core::{CoreConfig, RunReport};
 use cfd_energy::EnergyModel;
 use cfd_exec::{CampaignJob, Engine, FuncJob, ProfileJob, SimJob};
 use cfd_workloads::{CatalogEntry, Scale, Variant, Workload};
@@ -23,19 +23,6 @@ pub fn default_scale() -> Scale {
 /// A smaller scale for the expensive sweeps.
 pub fn sweep_scale() -> Scale {
     Scale { n: 8_000, ..Scale::default() }
-}
-
-/// Runs one workload on one configuration.
-///
-/// # Panics
-///
-/// Panics when the simulation fails — experiments treat simulator errors
-/// as fatal.
-pub fn run(workload: &Workload, cfg: &CoreConfig) -> RunReport {
-    Core::new(cfg.clone(), workload.program.clone(), workload.mem.clone())
-        .unwrap()
-        .run(CYCLE_LIMIT)
-        .unwrap_or_else(|e| panic!("{} [{}] failed: {e}", workload.name, workload.variant))
 }
 
 /// A ticket for one job submitted to a [`Batch`]; redeem it against the

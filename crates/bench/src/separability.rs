@@ -15,7 +15,7 @@
 //! [`gate_ok`] is the pass/fail summary `experiments separability` turns
 //! into its exit status.
 
-use cfd_analysis::{apply_cfd_spec, classify_program, BranchClass, ClassifyConfig};
+use cfd_analysis::{apply_cfd_spec, classify_program, BranchClass};
 use cfd_harden::check_disjoint_claims;
 use cfd_isa::Reg;
 use cfd_obs::json::quote;
@@ -111,7 +111,7 @@ pub fn run_separability(scale: Scale) -> Vec<SeparabilityRow> {
     let mut rows = Vec::new();
     for entry in catalog() {
         let w = entry.build(Variant::Base, scale);
-        for report in classify_program(&w.program, None, ClassifyConfig::default()) {
+        for report in classify_program(&w.program) {
             if report.class == BranchClass::NotAnalyzed {
                 continue;
             }

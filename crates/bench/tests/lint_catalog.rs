@@ -3,7 +3,12 @@
 //! outputs) must stay clean, deterministic, and honest about degraded
 //! analyses.
 
-use cfd_bench::lint::{error_count, lint_all, to_json};
+use cfd_bench::lint::{error_count, lint_all_on, to_json, LintRow};
+use cfd_exec::Engine;
+
+fn sweep() -> Vec<LintRow> {
+    lint_all_on(&Engine::serial())
+}
 
 /// Zero false positives across the whole catalog + transform sweep —
 /// the ISSUE acceptance bar. Any error finding on a shipped kernel is
@@ -11,7 +16,7 @@ use cfd_bench::lint::{error_count, lint_all, to_json};
 /// the build.
 #[test]
 fn catalog_sweep_is_error_free() {
-    let rows = lint_all();
+    let rows = sweep();
     assert!(rows.len() >= 80, "sweep shrank to {} rows", rows.len());
     for r in &rows {
         assert!(r.report.clean(), "{} / {} regressed:\n{}", r.kernel, r.variant, r.report.table());
@@ -25,7 +30,7 @@ fn catalog_sweep_is_error_free() {
 /// this path — their mark/forward mid-loop defeats loop summarization.)
 #[test]
 fn degraded_rows_claim_no_bounds() {
-    let rows = lint_all();
+    let rows = sweep();
     let mut degraded = 0;
     for r in &rows {
         if r.report.diagnostics.iter().any(|d| d.rule.name() == "analysis-degraded") {
@@ -49,6 +54,6 @@ fn degraded_rows_claim_no_bounds() {
 #[test]
 fn sweep_matches_checked_in_fixture() {
     let expected = include_str!("fixtures/lint_catalog.json");
-    let actual = to_json(&lint_all());
+    let actual = to_json(&sweep());
     assert_eq!(actual.trim(), expected.trim(), "lint sweep diverged from fixture");
 }

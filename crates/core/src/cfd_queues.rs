@@ -134,9 +134,10 @@ impl FetchBq {
     /// Fetch of a `Branch_on_BQ`: reads the head entry. Returns
     /// `(abs_index, Some(predicate))` when the push has already executed
     /// (early push — non-speculative resolution), `(abs_index, None)` on a
-    /// BQ miss. Advances the head either way; on a miss the caller decides
-    /// to speculate (then call [`record_spec_pop`](Self::record_spec_pop))
-    /// or to stall (then call [`unfetch_pop`](Self::unfetch_pop)).
+    /// BQ miss. Advances the head either way; on a miss the caller
+    /// speculates (then calls [`record_spec_pop`](Self::record_spec_pop)).
+    /// The stall policy never gets here on a miss: it checks
+    /// [`pop_would_miss`](Self::pop_would_miss) first.
     pub fn fetch_pop(&mut self) -> (u64, Option<bool>) {
         let abs = self.head;
         self.head += 1;
@@ -146,13 +147,6 @@ impl FetchBq {
         } else {
             (abs, None)
         }
-    }
-
-    /// Reverts a [`fetch_pop`](Self::fetch_pop) that the front end decided
-    /// not to perform (stall policy).
-    pub fn unfetch_pop(&mut self, abs: u64) {
-        debug_assert_eq!(self.head, abs + 1);
-        self.head = abs;
     }
 
     /// Records a speculative pop (BQ miss + speculate policy): stores the
@@ -198,16 +192,9 @@ impl FetchBq {
         }
     }
 
-    /// Observes the entry at `abs`: `Some(predicate)` when its push has
-    /// executed. Used to verify a speculative pop that was still in the
-    /// front pipe when its late push executed.
-    pub fn peek_entry(&self, abs: u64) -> Option<bool> {
-        let s = self.slot(abs);
-        (s.pushed && s.abs == abs).then_some(s.predicate)
-    }
-
-    /// Like [`peek_entry`](Self::peek_entry) but also returns the pushed
-    /// predicate's taint code.
+    /// Observes the entry at `abs`: `Some((predicate, taint_code))` when
+    /// its push has executed. Used to verify a speculative pop that was
+    /// still in the front pipe when its late push executed.
     pub fn peek_entry_tainted(&self, abs: u64) -> Option<(bool, u8)> {
         let s = self.slot(abs);
         (s.pushed && s.abs == abs).then_some((s.predicate, s.taint_code))

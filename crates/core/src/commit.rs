@@ -36,11 +36,9 @@ impl Pipeline {
 
             // Oracle cross-check: the retired stream must match functional
             // execution exactly.
-            if self.cfg.verify_retirement {
-                let opc = self.oracle.pc();
-                if opc != e.pc {
-                    return Err(CoreError::OracleMismatch { seq: e.seq, core_pc: e.pc, oracle_pc: opc });
-                }
+            let opc = self.oracle.pc();
+            if opc != e.pc {
+                return Err(CoreError::OracleMismatch { seq: e.seq, core_pc: e.pc, oracle_pc: opc });
             }
             self.oracle.step(&mut NullSink).map_err(|err| CoreError::Program(err.to_string()))?;
 

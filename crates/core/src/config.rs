@@ -99,13 +99,6 @@ pub struct CoreConfig {
     pub bq_miss_policy: BqMissPolicy,
     /// Memory hierarchy configuration.
     pub hierarchy: HierarchyConfig,
-    /// Model the L1 instruction cache (32 KB, 64 B blocks): an I-miss
-    /// bubbles fetch for the L2 latency. Our kernels fit comfortably, so
-    /// this mainly charges cold-start bubbles, but it completes the model.
-    pub model_icache: bool,
-    /// Verify the retired instruction stream against the functional oracle
-    /// (cheap; catches simulator bugs — keep on).
-    pub verify_retirement: bool,
     /// Watchdog: declare a deadlock when no instruction retires for this
     /// many cycles. Bounds the detection latency of dropped-entry faults.
     pub watchdog_cycles: u64,
@@ -136,8 +129,6 @@ impl Default for CoreConfig {
             tq_trip_bits: 16,
             bq_miss_policy: BqMissPolicy::Speculate,
             hierarchy: HierarchyConfig::default(),
-            model_icache: true,
-            verify_retirement: true,
             watchdog_cycles: 100_000,
         }
     }

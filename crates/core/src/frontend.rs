@@ -100,7 +100,7 @@ impl Pipeline {
             }
 
             // L1I probe: a miss bubbles fetch for the L2 latency.
-            if self.cfg.model_icache && !l1i_probe(&mut self.icache, pc as u64 * 4) {
+            if !l1i_probe(&mut self.icache, pc as u64 * 4) {
                 self.stats.icache_misses += 1;
                 self.fetch_resume_at = self.now + self.cfg.hierarchy.l2_latency as u64;
                 self.front_block = CpiComponent::Frontend;

@@ -59,14 +59,13 @@ pub struct Telemetry {
 }
 
 impl Telemetry {
-    /// Telemetry sampling every `cfg.sample_interval` cycles, with the
-    /// event trace on when `cfg.trace` is.
+    /// Telemetry sampling every `cfg.sample_interval` cycles.
     pub fn new(cfg: TelemetryConfig) -> Telemetry {
         Telemetry {
             interval: cfg.sample_interval,
-            registry: MetricsRegistry::enabled(),
+            registry: MetricsRegistry::default(),
             series: TimeSeries::new(cfg.sample_interval, SERIES_COLUMNS.to_vec()),
-            trace: if cfg.trace { TraceLog::enabled() } else { TraceLog::disabled() },
+            trace: TraceLog::default(),
             next_sample: if cfg.sample_interval > 0 { cfg.sample_interval } else { u64::MAX },
             sched: SchedWork::default(),
         }
@@ -106,12 +105,9 @@ impl Telemetry {
         while self.next_sample <= s.cycle {
             self.next_sample += self.interval;
         }
-        if self.trace.is_enabled() {
-            let rob = s.rob as u64;
-            let args =
-                vec![("bq", s.bq_len.into()), ("vq", s.vq_len.into()), ("tq", s.tq_len.into()), ("rob", rob.into())];
-            self.trace.counter("occupancy", "pipe", s.cycle, 0, args);
-        }
+        let rob = s.rob as u64;
+        let args = vec![("bq", s.bq_len.into()), ("vq", s.vq_len.into()), ("tq", s.tq_len.into()), ("rob", rob.into())];
+        self.trace.counter("occupancy", "pipe", s.cycle, 0, args);
     }
 }
 

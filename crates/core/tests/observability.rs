@@ -91,7 +91,7 @@ fn telemetry_is_neutral() {
 
 #[test]
 fn sampling_is_byte_deterministic() {
-    let cfg = TelemetryConfig { sample_interval: 50, trace: true };
+    let cfg = TelemetryConfig { sample_interval: 50 };
     let (run, a) = observed(kernel_core(), cfg);
     let (_, b) = observed(kernel_core(), cfg);
     assert!(!a.series.is_empty(), "interval 50 must produce samples");

@@ -302,8 +302,8 @@ impl Engine {
             cfg,
             cache,
             telemetry: Mutex::new(EngineTelemetry {
-                registry: MetricsRegistry::enabled(),
-                trace: TraceLog::enabled(),
+                registry: MetricsRegistry::default(),
+                trace: TraceLog::default(),
                 clock: 0,
             }),
             progress: Mutex::new(None),
@@ -404,8 +404,10 @@ impl Engine {
     /// fingerprint — a fold over every submitted job fingerprint — so a
     /// resumed invocation with identical inputs finds its own journal and
     /// a changed campaign never replays a stale one. Journal IO is
-    /// best-effort: failure to open degrades to journal-less execution.
-    fn open_journal(&self, fps: &[Fingerprint]) -> (Option<Journal>, Replay) {
+    /// best-effort: failure to open degrades to journal-less execution
+    /// (and so, on resume, to an empty quarantine ledger), with one
+    /// warning.
+    fn open_journal(&self, fps: &[Fingerprint], log: Option<&EventLog>) -> (Option<Journal>, Replay) {
         let Some(cache) = &self.cache else { return (None, Replay::default()) };
         if !self.cfg.journal {
             return (None, Replay::default());
@@ -417,7 +419,13 @@ impl Engine {
         } else {
             Journal::create(&path).map(|j| (j, Replay::default()))
         };
-        let Ok((journal, replay)) = opened else { return (None, Replay::default()) };
+        let (journal, replay) = match opened {
+            Ok(opened) => opened,
+            Err(e) => {
+                warn_disabled(log, "journal_disabled", "job journal", &e);
+                return (None, Replay::default());
+            }
+        };
         let journal = match &self.cfg.io_faults {
             Some(shim) => journal.with_io_faults(shim.clone()),
             None => journal,
@@ -452,7 +460,7 @@ impl Engine {
         let progress = Mutex::new(BatchProgress { total: n as u64, ..BatchProgress::default() });
 
         let fps: Vec<Fingerprint> = jobs.iter().map(|j| j.fingerprint()).collect();
-        let (journal, replay) = self.open_journal(&fps);
+        let (journal, replay) = self.open_journal(&fps, log.as_deref());
 
         // First submission of each fingerprint owns the execution;
         // later duplicates fold onto it.
@@ -535,12 +543,6 @@ impl Engine {
             p.failed = batch.quarantined;
         });
 
-        if let Some(j) = &journal {
-            for &i in &to_run {
-                let _ = j.append(&JournalRecord::Submitted { index: i as u64, fp: fps[i].hex() });
-            }
-        }
-
         // Strike counts carry over from resumed sessions, so a job that
         // crashed the previous run and crashes again accumulates toward
         // the quarantine threshold.
@@ -560,9 +562,6 @@ impl Engine {
             let last_attempt = wave_no >= policy.max_retries;
             let outcomes = pool::run_indexed(self.cfg.jobs, wave.len(), |k| {
                 let i = wave[k];
-                if let Some(j) = &journal {
-                    let _ = j.append(&JournalRecord::Started { index: i as u64 });
-                }
                 let run = catch_unwind(AssertUnwindSafe(|| {
                     let cancel = match policy.timeout_cycles {
                         0 => CancelToken::new(),
@@ -596,8 +595,11 @@ impl Engine {
                     Err(msg) => {
                         if let Some(j) = &journal {
                             let class = if parse_timeout_panic(&msg).is_some() { "timeout" } else { "panic" };
-                            let _ =
-                                j.append(&JournalRecord::Failed { index: i as u64, class: class.to_string(), attempt });
+                            let _ = j.append(&JournalRecord::Failed {
+                                fp: fps[i].hex(),
+                                class: class.to_string(),
+                                attempt,
+                            });
                         }
                         // A failure only finalizes the slot when no retry
                         // wave can still rescue it.
@@ -673,10 +675,7 @@ impl Engine {
         // A failing store disabled the cache for the rest of the run;
         // say so once, with the cause, and keep going.
         if let Some(e) = store_error.lock().expect("store-error lock poisoned").take() {
-            match &log {
-                Some(l) => l.warn("cfd-exec", "cache_disabled", &[("error", format!("{e}").into())]),
-                None => eprintln!("[cfd-exec] warning: result cache disabled: {e}"),
-            }
+            warn_disabled(log.as_deref(), "cache_disabled", "result cache", &e);
         }
 
         // Fold duplicates onto their owner's result.
@@ -754,6 +753,15 @@ impl Engine {
         }
         drop(t);
         results.into_iter().map(|r| r.expect("every slot filled")).collect()
+    }
+}
+
+/// Reports that `what` is off for the rest of the batch because of `err`:
+/// an `event` warning through the attached log, else one stderr line.
+fn warn_disabled(log: Option<&EventLog>, event: &str, what: &str, err: &dyn fmt::Display) {
+    match log {
+        Some(l) => l.warn("cfd-exec", event, &[("error", err.to_string().into())]),
+        None => eprintln!("[cfd-exec] warning: {what} disabled: {err}"),
     }
 }
 
@@ -972,6 +980,44 @@ mod tests {
         assert!(one.contains("\"event\":\"batch_start\""), "{one}");
         assert!(one.contains("\"event\":\"retry_wave\""), "13 fails and retries: {one}");
         assert!(one.contains("\"event\":\"batch_done\""), "{one}");
+    }
+
+    fn temp_cache(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("cfd-engine-test-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    #[test]
+    fn cold_successful_batch_journals_header_plus_one_record_per_job() {
+        let dir = temp_cache("write-set");
+        let eng = Engine::new(ExecConfig { cache_dir: dir.clone(), ..ExecConfig::default() });
+        let jobs = squares(&[1, 2, 3, 4, 5], 0);
+        assert!(eng.run_all(&jobs).iter().all(Result::is_ok));
+        let fps: Vec<Fingerprint> = jobs.iter().map(CampaignJob::fingerprint).collect();
+        let path = dir.join("journal").join(format!("{}.wal", campaign_fingerprint(&fps).hex()));
+        let (_journal, replay) = Journal::open_resume(&path).expect("journal exists");
+        assert_eq!(replay.records, 1 + jobs.len() as u64, "the header plus one `done` per job");
+        assert_eq!(replay.completed.len(), jobs.len());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn journal_that_cannot_open_warns_once() {
+        for resume in [false, true] {
+            let dir = temp_cache(&format!("no-journal-{resume}"));
+            std::fs::create_dir_all(&dir).unwrap();
+            // A regular file where the journal directory belongs.
+            std::fs::write(dir.join("journal"), b"not a directory").unwrap();
+            let eng = Engine::new(ExecConfig { cache_dir: dir.clone(), resume, ..ExecConfig::default() });
+            let log = Arc::new(cfd_obs::EventLog::memory(cfd_obs::Level::Warn));
+            eng.set_log(Some(Arc::clone(&log)));
+            assert_eq!(eng.run_all(&squares(&[1, 2, 3], 0)), vec![Ok(1), Ok(4), Ok(9)]);
+            let text = log.contents();
+            assert_eq!(text.matches("\"event\":\"journal_disabled\"").count(), 1, "resume={resume}: {text}");
+            assert_eq!(text.lines().count(), 1, "resume={resume}: only the journal warning: {text}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

@@ -1,16 +1,20 @@
 //! Durable write-ahead job journal for crash-safe campaigns.
 //!
 //! The result cache makes *completed* jobs durable; the journal makes the
-//! *campaign* durable. Before a campaign executes anything, the engine
-//! opens `<cache>/journal/<campaign-fingerprint>.wal` and appends one
-//! record per lifecycle event — `campaign` (header), `submitted`,
-//! `started`, `done`, `failed`, `quarantined` — each fsync'd before the
-//! engine proceeds. A process killed mid-campaign (SIGKILL, power loss)
-//! can then be resumed with `--resume`: the journal's valid prefix is
-//! replayed, quarantine verdicts and completion bookkeeping are restored,
-//! and only jobs that never completed re-execute (their results come out
-//! of the content-addressed cache otherwise, so the resumed report is
-//! byte-identical to an uninterrupted run).
+//! *campaign's failures* durable. Before a campaign executes anything,
+//! the engine opens `<cache>/journal/<campaign-fingerprint>.wal` and
+//! appends a `campaign` header, then one record per finished attempt —
+//! `done` or `failed` — and a `quarantined` record per job that exhausts
+//! its retries, each fsync'd before the engine proceeds. A cold batch of
+//! N jobs that all succeed journals 1 + N records. A process killed
+//! mid-campaign (SIGKILL, power loss) can then be resumed with
+//! `--resume`: the journal's valid prefix is replayed, strike counts and
+//! quarantine verdicts are restored, and only jobs that never completed
+//! re-execute (their results come out of the content-addressed cache
+//! otherwise, so the resumed report is byte-identical to an
+//! uninterrupted run). Resume acts on the header, `failed` and
+//! `quarantined` records; `done` records only mark progress
+//! ([`Replay::completed`]).
 //!
 //! # On-disk format
 //!
@@ -57,18 +61,6 @@ pub enum JournalRecord {
         /// Number of jobs submitted.
         jobs: u64,
     },
-    /// A job was submitted at `index` with content fingerprint `fp`.
-    Submitted {
-        /// Submission index.
-        index: u64,
-        /// Hex job fingerprint.
-        fp: String,
-    },
-    /// A worker picked the job up (present but unfinished ⇒ interrupted).
-    Started {
-        /// Submission index.
-        index: u64,
-    },
     /// The job completed and its result is durable in the cache.
     Done {
         /// Submission index.
@@ -78,8 +70,8 @@ pub enum JournalRecord {
     },
     /// The job failed (`class` is `"panic"` or `"timeout"`).
     Failed {
-        /// Submission index.
-        index: u64,
+        /// Hex job fingerprint (one strike against it).
+        fp: String,
         /// Failure class.
         class: String,
         /// Attempt number (1-based) that produced this failure.
@@ -103,21 +95,15 @@ impl JournalRecord {
                 write_str(&mut s, fingerprint);
                 s.push_str(&format!(",\"jobs\":{jobs}}}"));
             }
-            JournalRecord::Submitted { index, fp } => {
-                s.push_str(&format!("{{\"rec\":\"submitted\",\"index\":{index},\"fp\":"));
-                write_str(&mut s, fp);
-                s.push('}');
-            }
-            JournalRecord::Started { index } => {
-                s.push_str(&format!("{{\"rec\":\"started\",\"index\":{index}}}"));
-            }
             JournalRecord::Done { index, fp } => {
                 s.push_str(&format!("{{\"rec\":\"done\",\"index\":{index},\"fp\":"));
                 write_str(&mut s, fp);
                 s.push('}');
             }
-            JournalRecord::Failed { index, class, attempt } => {
-                s.push_str(&format!("{{\"rec\":\"failed\",\"index\":{index},\"class\":"));
+            JournalRecord::Failed { fp, class, attempt } => {
+                s.push_str("{\"rec\":\"failed\",\"fp\":");
+                write_str(&mut s, fp);
+                s.push_str(",\"class\":");
                 write_str(&mut s, class);
                 s.push_str(&format!(",\"attempt\":{attempt}}}"));
             }
@@ -136,10 +122,8 @@ impl JournalRecord {
         let st = |key: &str| v.get(key).and_then(Json::as_str).map(str::to_string);
         Some(match rec {
             "campaign" => JournalRecord::Campaign { fingerprint: st("fingerprint")?, jobs: u("jobs")? },
-            "submitted" => JournalRecord::Submitted { index: u("index")?, fp: st("fp")? },
-            "started" => JournalRecord::Started { index: u("index")? },
             "done" => JournalRecord::Done { index: u("index")?, fp: st("fp")? },
-            "failed" => JournalRecord::Failed { index: u("index")?, class: st("class")?, attempt: u("attempt")? },
+            "failed" => JournalRecord::Failed { fp: st("fp")?, class: st("class")?, attempt: u("attempt")? },
             "quarantined" => JournalRecord::Quarantined { fp: st("fp")?, strikes: u("strikes")? },
             _ => return None,
         })
@@ -167,9 +151,6 @@ pub struct Replay {
     pub quarantined: BTreeMap<String, u64>,
     /// Failed-attempt counts per fingerprint (panics and timeouts).
     pub strikes: BTreeMap<String, u64>,
-    /// Jobs that were `started` but never reached `done`/`failed` — they
-    /// were in flight when the process died.
-    pub interrupted: u64,
     /// Number of valid records replayed.
     pub records: u64,
     /// Bytes of torn tail truncated during recovery (0 = clean).
@@ -178,38 +159,23 @@ pub struct Replay {
 
 impl Replay {
     fn fold(records: &[JournalRecord]) -> Replay {
-        let mut r = Replay::default();
-        let mut started: BTreeSet<u64> = BTreeSet::new();
-        let mut finished: BTreeSet<u64> = BTreeSet::new();
-        let mut fp_of: BTreeMap<u64, String> = BTreeMap::new();
+        let mut r = Replay { records: records.len() as u64, ..Replay::default() };
         for rec in records {
             match rec {
                 JournalRecord::Campaign { fingerprint, jobs } => {
                     r.campaign = Some((fingerprint.clone(), *jobs));
                 }
-                JournalRecord::Submitted { index, fp } => {
-                    fp_of.insert(*index, fp.clone());
-                }
-                JournalRecord::Started { index } => {
-                    started.insert(*index);
-                }
-                JournalRecord::Done { index, fp } => {
-                    finished.insert(*index);
+                JournalRecord::Done { fp, .. } => {
                     r.completed.insert(fp.clone());
                 }
-                JournalRecord::Failed { index, .. } => {
-                    finished.insert(*index);
-                    if let Some(fp) = fp_of.get(index) {
-                        *r.strikes.entry(fp.clone()).or_insert(0) += 1;
-                    }
+                JournalRecord::Failed { fp, .. } => {
+                    *r.strikes.entry(fp.clone()).or_insert(0) += 1;
                 }
                 JournalRecord::Quarantined { fp, strikes } => {
                     r.quarantined.insert(fp.clone(), *strikes);
                 }
             }
         }
-        r.interrupted = started.difference(&finished).count() as u64;
-        r.records = records.len() as u64;
         r
     }
 }
@@ -324,14 +290,14 @@ mod tests {
     fn sample_records() -> Vec<JournalRecord> {
         vec![
             JournalRecord::Campaign { fingerprint: "abc123".to_string(), jobs: 3 },
-            JournalRecord::Submitted { index: 0, fp: "f0".to_string() },
-            JournalRecord::Submitted { index: 1, fp: "f1".to_string() },
-            JournalRecord::Started { index: 0 },
             JournalRecord::Done { index: 0, fp: "f0".to_string() },
-            JournalRecord::Started { index: 1 },
-            JournalRecord::Failed { index: 1, class: "panic".to_string(), attempt: 1 },
+            failed("f1", 1),
             JournalRecord::Quarantined { fp: "f1".to_string(), strikes: 2 },
         ]
+    }
+
+    fn failed(fp: &str, attempt: u64) -> JournalRecord {
+        JournalRecord::Failed { fp: fp.to_string(), class: "panic".to_string(), attempt }
     }
 
     #[test]
@@ -343,34 +309,29 @@ mod tests {
         }
         drop(journal);
         let (_journal, replay) = Journal::open_resume(&path).unwrap();
-        assert_eq!(replay.records, 8);
+        assert_eq!(replay.records, 4);
         assert_eq!(replay.torn_bytes, 0);
         assert_eq!(replay.campaign, Some(("abc123".to_string(), 3)));
         assert!(replay.completed.contains("f0"));
         assert_eq!(replay.quarantined.get("f1"), Some(&2));
         assert_eq!(replay.strikes.get("f1"), Some(&1));
-        assert_eq!(replay.interrupted, 0);
         let _ = fs::remove_file(&path);
     }
 
     #[test]
-    fn started_without_completion_counts_as_interrupted() {
-        let path = temp_wal("interrupted");
-        let journal = Journal::create(&path).unwrap();
-        journal.append(&JournalRecord::Submitted { index: 0, fp: "f0".to_string() }).unwrap();
-        journal.append(&JournalRecord::Started { index: 0 }).unwrap();
-        drop(journal);
-        let (_journal, replay) = Journal::open_resume(&path).unwrap();
-        assert_eq!(replay.interrupted, 1);
-        assert!(replay.completed.is_empty());
-        let _ = fs::remove_file(&path);
+    fn failed_records_alone_fold_into_strikes() {
+        let replay = Replay::fold(&[failed("f1", 1), failed("f2", 1), failed("f1", 2)]);
+        assert_eq!(replay.strikes.get("f1"), Some(&2));
+        assert_eq!(replay.strikes.get("f2"), Some(&1));
+        assert_eq!(replay.strikes.len(), 2);
+        assert!(replay.campaign.is_none() && replay.completed.is_empty() && replay.quarantined.is_empty());
     }
 
     #[test]
     fn torn_tail_is_truncated_and_prefix_survives() {
         let path = temp_wal("torn");
         let journal = Journal::create(&path).unwrap();
-        journal.append(&JournalRecord::Submitted { index: 0, fp: "f0".to_string() }).unwrap();
+        journal.append(&failed("f0", 1)).unwrap();
         journal.append(&JournalRecord::Done { index: 0, fp: "f0".to_string() }).unwrap();
         drop(journal);
         // Simulate a crash mid-append: chop bytes off the tail.
@@ -397,7 +358,7 @@ mod tests {
     fn corrupt_record_body_stops_the_replay() {
         let path = temp_wal("flip");
         let journal = Journal::create(&path).unwrap();
-        journal.append(&JournalRecord::Submitted { index: 0, fp: "f0".to_string() }).unwrap();
+        journal.append(&failed("f0", 1)).unwrap();
         journal.append(&JournalRecord::Done { index: 0, fp: "f0".to_string() }).unwrap();
         drop(journal);
         let mut bytes = fs::read(&path).unwrap();
@@ -420,7 +381,7 @@ mod tests {
         let path = temp_wal("shim");
         let shim = IoFaultShim::new(5, IoFaultKind::TornWrite, 1);
         let journal = Journal::create(&path).unwrap().with_io_faults(shim.clone());
-        journal.append(&JournalRecord::Submitted { index: 0, fp: "f0".to_string() }).unwrap();
+        journal.append(&JournalRecord::Done { index: 0, fp: "f0".to_string() }).unwrap();
         assert_eq!(shim.injected_count(), 1);
         drop(journal);
         let (_journal, replay) = Journal::open_resume(&path).unwrap();
@@ -433,7 +394,6 @@ mod tests {
         let path = temp_wal("missing");
         let (_journal, replay) = Journal::open_resume(&path).unwrap();
         assert_eq!(replay.records, 0);
-        assert_eq!(replay.interrupted, 0);
         let _ = fs::remove_file(&path);
     }
 }

@@ -19,7 +19,7 @@ fn every_observer_at_once_leaves_the_report_unchanged() {
 
             let mut trace = PipeTrace::new(1000);
             let mut ring = SnapRing::default();
-            let mut telemetry = Telemetry::new(TelemetryConfig { sample_interval: 100, trace: true });
+            let mut telemetry = Telemetry::new(TelemetryConfig { sample_interval: 100 });
             let mut profiler = StageProfiler::default();
             let mut observed = core();
             let mut all = ((&mut trace, &mut ring), (&mut telemetry, &mut profiler));

@@ -38,13 +38,14 @@ mod chaos;
 
 pub use chaos::{run_exec_chaos, ChaosConfig, ChaosOutcome, ChaosReport};
 
-use cfd_analysis::{lint_program, LintConfig};
+use cfd_analysis::lint_program;
 use cfd_core::{
     Core, CoreConfig, CoreError, FaultKind, FaultSpec, Observer, Telemetry, TelemetryConfig, TelemetryReport,
 };
 use cfd_exec::json::quote;
 use cfd_exec::{CampaignJob, Engine, Fingerprint, Hasher, Json};
 use cfd_isa::check::Rng;
+use cfd_isa::QueueConfig;
 use cfd_workloads::{by_name, catalog, CatalogEntry, Scale, Variant, Workload};
 use std::fmt;
 
@@ -297,7 +298,7 @@ impl CrosscheckRow {
 /// fault injected, and records both verdicts side by side.
 pub fn run_crosscheck(n: usize, cycle_limit: u64) -> Vec<CrosscheckRow> {
     let core_cfg = CoreConfig::default();
-    let lint_cfg = LintConfig {
+    let lint_cfg = QueueConfig {
         bq_size: core_cfg.bq_size,
         vq_size: core_cfg.vq_size,
         tq_size: core_cfg.tq_size,

@@ -6,8 +6,7 @@
 //! legible on a live simulation instead of only in end-of-run aggregates:
 //!
 //! * [`MetricsRegistry`] — an integer-only counters/gauges/histograms
-//!   registry with `&'static str` names. Zero-cost when disabled: every
-//!   mutator takes the early-out branch and touches nothing.
+//!   registry with `&'static str` names.
 //! * [`CpiStack`] / [`CpiComponent`] — CPI-stack cycle accounting. Every
 //!   retire-width slot of every cycle is attributed to exactly one
 //!   component ({base, frontend/BTB, branch-mispredict, BQ/TQ stall,
@@ -47,16 +46,13 @@ pub use trace::{ArgValue, TraceEvent, TraceLog};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TelemetryConfig {
     /// Sample the time series every this many cycles (0 disables
-    /// sampling; the registry and CPI stack still run).
+    /// sampling; the registry, CPI stack and event trace still run).
     pub sample_interval: u64,
-    /// Record pipeline events (recoveries, faults) and counter tracks
-    /// into a [`TraceLog`].
-    pub trace: bool,
 }
 
 impl Default for TelemetryConfig {
     fn default() -> Self {
-        TelemetryConfig { sample_interval: 1000, trace: true }
+        TelemetryConfig { sample_interval: 1000 }
     }
 }
 
@@ -68,6 +64,7 @@ pub struct TelemetryReport {
     pub registry: MetricsRegistry,
     /// The interval-sampled time series.
     pub series: TimeSeries,
-    /// The recorded trace (empty when tracing was off).
+    /// The recorded pipeline events (recoveries, faults) and counter
+    /// tracks.
     pub trace: TraceLog,
 }

@@ -11,8 +11,7 @@
 //!   same logical work emit the same `seq`/`event`/`fields` stream,
 //! * an optional wall-clock field (`wall_us`) that is *excluded* from
 //!   determinism comparisons — [`strip_wall`] removes it so byte
-//!   comparison across runs and worker counts is possible,
-//! * span `begin`/`end` records correlated by a `span_id`.
+//!   comparison across runs and worker counts is possible.
 //!
 //! Three sinks can be armed in any combination: a JSONL file (one
 //! versioned-schema object per line), human-readable stderr lines
@@ -79,16 +78,8 @@ impl fmt::Display for Level {
     }
 }
 
-/// Marker for span records: plain events carry neither.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SpanPhase {
-    Begin,
-    End,
-}
-
 struct Inner {
     seq: u64,
-    next_span: u64,
     file: Option<File>,
     stderr: bool,
     memory: Option<String>,
@@ -113,7 +104,7 @@ impl fmt::Debug for EventLog {
 impl EventLog {
     /// A logger with no sinks armed; every record is dropped.
     pub fn new(level: Level) -> EventLog {
-        EventLog { level, inner: Mutex::new(Inner { seq: 0, next_span: 1, file: None, stderr: false, memory: None }) }
+        EventLog { level, inner: Mutex::new(Inner { seq: 0, file: None, stderr: false, memory: None }) }
     }
 
     /// Arms human-readable stderr lines (`[target] event k=v ...`).
@@ -155,7 +146,29 @@ impl EventLog {
 
     /// Emits one structured event.
     pub fn event(&self, level: Level, target: &str, event: &str, fields: &[(&'static str, ArgValue)]) {
-        self.emit(level, target, event, None, 0, fields);
+        if !self.enabled(level) {
+            return;
+        }
+        let wall_us = wall_clock_us();
+        let mut inner = self.inner.lock().unwrap();
+        if inner.file.is_none() && !inner.stderr && inner.memory.is_none() {
+            return;
+        }
+        let seq = inner.seq;
+        inner.seq += 1;
+        if inner.file.is_some() || inner.memory.is_some() {
+            let line = render_jsonl(seq, level, target, event, fields, wall_us);
+            if let Some(f) = inner.file.as_mut() {
+                let _ = f.write_all(line.as_bytes());
+                let _ = f.flush();
+            }
+            if let Some(m) = inner.memory.as_mut() {
+                m.push_str(&line);
+            }
+        }
+        if inner.stderr {
+            eprintln!("{}", render_human(level, target, event, fields));
+        }
     }
 
     /// Emits at [`Level::Error`].
@@ -177,80 +190,17 @@ impl EventLog {
     pub fn debug(&self, target: &str, event: &str, fields: &[(&'static str, ArgValue)]) {
         self.event(Level::Debug, target, event, fields);
     }
-
-    /// Opens a span: emits a `begin` record and returns its span id for
-    /// [`EventLog::span_end`]. Returns 0 (and emits nothing) when
-    /// `level` is filtered out.
-    pub fn span_begin(&self, level: Level, target: &str, event: &str, fields: &[(&'static str, ArgValue)]) -> u64 {
-        if !self.enabled(level) {
-            return 0;
-        }
-        let id = {
-            let mut inner = self.inner.lock().unwrap();
-            let id = inner.next_span;
-            inner.next_span += 1;
-            id
-        };
-        self.emit(level, target, event, Some(SpanPhase::Begin), id, fields);
-        id
-    }
-
-    /// Closes a span opened by [`EventLog::span_begin`]. A `span_id` of
-    /// 0 (a filtered begin) emits nothing.
-    pub fn span_end(&self, level: Level, target: &str, event: &str, span_id: u64, fields: &[(&'static str, ArgValue)]) {
-        if span_id == 0 {
-            return;
-        }
-        self.emit(level, target, event, Some(SpanPhase::End), span_id, fields);
-    }
-
-    fn emit(
-        &self,
-        level: Level,
-        target: &str,
-        event: &str,
-        span: Option<SpanPhase>,
-        span_id: u64,
-        fields: &[(&'static str, ArgValue)],
-    ) {
-        if !self.enabled(level) {
-            return;
-        }
-        let wall_us = wall_clock_us();
-        let mut inner = self.inner.lock().unwrap();
-        if inner.file.is_none() && !inner.stderr && inner.memory.is_none() {
-            return;
-        }
-        let seq = inner.seq;
-        inner.seq += 1;
-        if inner.file.is_some() || inner.memory.is_some() {
-            let line = render_jsonl(seq, level, target, event, span, span_id, fields, wall_us);
-            if let Some(f) = inner.file.as_mut() {
-                let _ = f.write_all(line.as_bytes());
-                let _ = f.flush();
-            }
-            if let Some(m) = inner.memory.as_mut() {
-                m.push_str(&line);
-            }
-        }
-        if inner.stderr {
-            eprintln!("{}", render_human(level, target, event, span, span_id, fields));
-        }
-    }
 }
 
 fn wall_clock_us() -> u64 {
     std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH).map(|d| d.as_micros() as u64).unwrap_or(0)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn render_jsonl(
     seq: u64,
     level: Level,
     target: &str,
     event: &str,
-    span: Option<SpanPhase>,
-    span_id: u64,
     fields: &[(&'static str, ArgValue)],
     wall_us: u64,
 ) -> String {
@@ -259,13 +209,6 @@ fn render_jsonl(
     write_str(&mut out, target);
     out.push_str(",\"event\":");
     write_str(&mut out, event);
-    if let Some(phase) = span {
-        let word = match phase {
-            SpanPhase::Begin => "begin",
-            SpanPhase::End => "end",
-        };
-        let _ = write!(out, ",\"span\":\"{word}\",\"span_id\":{span_id}");
-    }
     out.push_str(",\"fields\":{");
     for (i, (k, v)) in fields.iter().enumerate() {
         if i > 0 {
@@ -285,26 +228,12 @@ fn render_jsonl(
     out
 }
 
-fn render_human(
-    level: Level,
-    target: &str,
-    event: &str,
-    span: Option<SpanPhase>,
-    span_id: u64,
-    fields: &[(&'static str, ArgValue)],
-) -> String {
+fn render_human(level: Level, target: &str, event: &str, fields: &[(&'static str, ArgValue)]) -> String {
     let mut out = format!("[{target}]");
     if level <= Level::Warn {
         let _ = write!(out, " {}:", level.as_str());
     }
     let _ = write!(out, " {event}");
-    if let Some(phase) = span {
-        let word = match phase {
-            SpanPhase::Begin => "begin",
-            SpanPhase::End => "end",
-        };
-        let _ = write!(out, " span={word}:{span_id}");
-    }
     for (k, v) in fields {
         match v {
             ArgValue::Int(n) => {
@@ -383,26 +312,12 @@ mod tests {
     fn stripped_stream_is_deterministic() {
         let build = || {
             let log = EventLog::memory(Level::Debug);
-            let span = log.span_begin(Level::Info, "x", "work", &[("total", 3u64.into())]);
+            log.info("x", "work", &[("total", 3u64.into())]);
             log.debug("x", "step", &[("i", 0u64.into())]);
-            log.span_end(Level::Info, "x", "work", span, &[("done", 3u64.into())]);
+            log.info("x", "done", &[("done", 3u64.into())]);
             strip_wall(&log.contents())
         };
         assert_eq!(build(), build());
-    }
-
-    #[test]
-    fn spans_carry_begin_end_and_ids() {
-        let log = EventLog::memory(Level::Info);
-        let a = log.span_begin(Level::Info, "t", "sweep", &[]);
-        let filtered = log.span_begin(Level::Debug, "t", "hidden", &[]);
-        assert_eq!(filtered, 0);
-        log.span_end(Level::Debug, "t", "hidden", filtered, &[]);
-        log.span_end(Level::Info, "t", "sweep", a, &[]);
-        let text = log.contents();
-        assert!(text.contains(&format!("\"span\":\"begin\",\"span_id\":{a}")), "{text}");
-        assert!(text.contains(&format!("\"span\":\"end\",\"span_id\":{a}")), "{text}");
-        assert!(!text.contains("hidden"), "{text}");
     }
 
     #[test]

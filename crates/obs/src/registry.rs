@@ -1,16 +1,12 @@
 //! The metrics registry: integer-only counters, gauges and histograms
 //! keyed by `&'static str` names.
 //!
-//! Design constraints, in order:
+//! Design constraints:
 //!
-//! 1. **Zero cost when disabled.** Every mutator starts with
-//!    `if !self.enabled { return; }`; a disabled registry allocates
-//!    nothing and its maps stay empty. Hot loops can call it
-//!    unconditionally.
-//! 2. **Determinism.** Metrics live in `BTreeMap`s, so every iteration,
+//! 1. **Determinism.** Metrics live in `BTreeMap`s, so every iteration,
 //!    snapshot and rendering is name-ordered — two identical runs render
 //!    identical bytes.
-//! 3. **Integers only.** Rates (IPC, hit ratios) are derived at format
+//! 2. **Integers only.** Rates (IPC, hit ratios) are derived at format
 //!    time from exact counters, never stored.
 
 use std::collections::BTreeMap;
@@ -61,45 +57,21 @@ impl HistogramState {
 /// The registry. See the module docs for the contract.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
-    enabled: bool,
     counters: BTreeMap<&'static str, u64>,
     gauges: BTreeMap<&'static str, GaugeState>,
     histograms: BTreeMap<&'static str, HistogramState>,
 }
 
 impl MetricsRegistry {
-    /// A live registry.
-    pub fn enabled() -> MetricsRegistry {
-        MetricsRegistry { enabled: true, ..MetricsRegistry::default() }
-    }
-
-    /// A disabled registry: every mutator is a no-op, every reader sees
-    /// an empty registry.
-    pub fn disabled() -> MetricsRegistry {
-        MetricsRegistry::default()
-    }
-
-    /// Whether mutators record anything.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Adds `n` to the counter `name` (creating it at 0).
     #[inline]
     pub fn counter_add(&mut self, name: &'static str, n: u64) {
-        if !self.enabled {
-            return;
-        }
         *self.counters.entry(name).or_insert(0) += n;
     }
 
     /// Sets the gauge `name` to `v`, tracking its high-water mark.
     #[inline]
     pub fn gauge_set(&mut self, name: &'static str, v: u64) {
-        if !self.enabled {
-            return;
-        }
         let g = self.gauges.entry(name).or_default();
         g.value = v;
         g.max = g.max.max(v);
@@ -108,9 +80,6 @@ impl MetricsRegistry {
     /// Records one sample into the histogram `name`.
     #[inline]
     pub fn histogram_record(&mut self, name: &'static str, v: u64) {
-        if !self.enabled {
-            return;
-        }
         self.histograms.entry(name).or_default().record(v);
     }
 
@@ -161,21 +130,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_registry_records_nothing() {
-        let mut r = MetricsRegistry::disabled();
-        r.counter_add("a", 5);
-        r.gauge_set("g", 9);
-        r.histogram_record("h", 3);
-        assert!(!r.is_enabled());
-        assert_eq!(r.counter("a"), 0);
-        assert!(r.gauge("g").is_none());
-        assert!(r.histogram("h").is_none());
-        assert!(r.render().is_empty());
-    }
-
-    #[test]
     fn counters_accumulate_and_order_by_name() {
-        let mut r = MetricsRegistry::enabled();
+        let mut r = MetricsRegistry::default();
         r.counter_add("zeta", 1);
         r.counter_add("alpha", 2);
         r.counter_add("zeta", 3);
@@ -186,7 +142,7 @@ mod tests {
 
     #[test]
     fn gauge_tracks_high_water_mark() {
-        let mut r = MetricsRegistry::enabled();
+        let mut r = MetricsRegistry::default();
         r.gauge_set("occ", 3);
         r.gauge_set("occ", 9);
         r.gauge_set("occ", 2);
@@ -195,7 +151,7 @@ mod tests {
 
     #[test]
     fn histogram_buckets_by_log2() {
-        let mut r = MetricsRegistry::enabled();
+        let mut r = MetricsRegistry::default();
         for v in [0, 1, 2, 3, 4, 1024] {
             r.histogram_record("lat", v);
         }
@@ -212,7 +168,7 @@ mod tests {
     #[test]
     fn render_is_deterministic() {
         let build = || {
-            let mut r = MetricsRegistry::enabled();
+            let mut r = MetricsRegistry::default();
             r.counter_add("b", 2);
             r.counter_add("a", 1);
             r.gauge_set("g", 7);

@@ -69,30 +69,13 @@ pub struct TraceEvent {
     pub args: Vec<(&'static str, ArgValue)>,
 }
 
-/// An append-only event log, zero-cost when disabled.
+/// An append-only event log.
 #[derive(Debug, Clone, Default)]
 pub struct TraceLog {
-    enabled: bool,
     events: Vec<TraceEvent>,
 }
 
 impl TraceLog {
-    /// A live log.
-    pub fn enabled() -> TraceLog {
-        TraceLog { enabled: true, events: Vec::new() }
-    }
-
-    /// A disabled log: every recorder is a no-op.
-    pub fn disabled() -> TraceLog {
-        TraceLog::default()
-    }
-
-    /// Whether recorders append anything.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Number of recorded events.
     pub fn len(&self) -> usize {
         self.events.len()
@@ -118,9 +101,6 @@ impl TraceLog {
         tid: u64,
         args: Vec<(&'static str, ArgValue)>,
     ) {
-        if !self.enabled {
-            return;
-        }
         self.events.push(TraceEvent { name: name.into(), cat, ph: "i", ts, dur: None, pid, tid, args });
     }
 
@@ -136,9 +116,6 @@ impl TraceLog {
         tid: u64,
         args: Vec<(&'static str, ArgValue)>,
     ) {
-        if !self.enabled {
-            return;
-        }
         self.events.push(TraceEvent { name: name.into(), cat, ph: "X", ts, dur: Some(dur), pid, tid, args });
     }
 
@@ -151,19 +128,7 @@ impl TraceLog {
         pid: u64,
         args: Vec<(&'static str, ArgValue)>,
     ) {
-        if !self.enabled {
-            return;
-        }
         self.events.push(TraceEvent { name: name.into(), cat, ph: "C", ts, dur: None, pid, tid: 0, args });
-    }
-
-    /// Appends every event of `other` (used to merge a core-side log into
-    /// a campaign-side log).
-    pub fn extend(&mut self, other: &TraceLog) {
-        if !self.enabled {
-            return;
-        }
-        self.events.extend(other.events.iter().cloned());
     }
 
     /// Serializes the log as Chrome trace-event JSON
@@ -210,18 +175,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_log_records_nothing() {
-        let mut t = TraceLog::disabled();
-        t.instant("squash", "pipe", 10, 0, 0, vec![]);
-        t.span("job", "exec", 0, 5, 1, 0, vec![]);
-        t.counter("occ", "pipe", 3, 0, vec![("bq", 2u64.into())]);
-        assert!(t.is_empty());
-        assert_eq!(t.to_json(), "{\"traceEvents\":[\n]}\n");
-    }
-
-    #[test]
     fn json_shape_covers_all_phases() {
-        let mut t = TraceLog::enabled();
+        let mut t = TraceLog::default();
         t.instant("fault", "harden", 42, 0, 1, vec![("kind", "bq_pop".into())]);
         t.span("execute", "exec", 100, 250, 1, 3, vec![("fp", ArgValue::Int(7))]);
         t.counter("occupancy", "pipe", 200, 0, vec![("bq", 4u64.into()), ("tq", 1u64.into())]);
@@ -239,22 +194,11 @@ mod tests {
     #[test]
     fn json_is_deterministic() {
         let build = || {
-            let mut t = TraceLog::enabled();
+            let mut t = TraceLog::default();
             t.span("a", "x", 1, 2, 0, 0, vec![("n", 9u64.into())]);
             t.instant("b", "x", 3, 0, 0, vec![]);
             t.to_json()
         };
         assert_eq!(build(), build());
-    }
-
-    #[test]
-    fn extend_merges_in_order() {
-        let mut a = TraceLog::enabled();
-        a.instant("first", "x", 1, 0, 0, vec![]);
-        let mut b = TraceLog::enabled();
-        b.instant("second", "x", 2, 0, 0, vec![]);
-        a.extend(&b);
-        assert_eq!(a.len(), 2);
-        assert_eq!(a.events()[1].name, "second");
     }
 }

@@ -23,7 +23,7 @@
 //! assert!(rep.mpki() > 10.0, "a hard separable branch dominates");
 //! ```
 
-use cfd_analysis::{classify_program, BranchClass, ClassifyConfig};
+use cfd_analysis::{classify_program, BranchClass};
 use cfd_isa::{Instr, Machine, RetireEvent, SimError, TraceSink};
 use cfd_predictor::{predictor_by_name, DirectionPredictor};
 use cfd_workloads::Workload;
@@ -172,10 +172,8 @@ pub fn profile(workload: &Workload, predictor_name: &str, instruction_limit: u64
 /// from `cfd-analysis`; PCs the classifier cannot place fall into
 /// `NotAnalyzed`.
 pub fn classified_mpki(workload: &Workload, report: &ProfileReport) -> BTreeMap<BranchClass, f64> {
-    let classes: BTreeMap<u32, BranchClass> = classify_program(&workload.program, None, ClassifyConfig::default())
-        .into_iter()
-        .map(|r| (r.pc, r.class))
-        .collect();
+    let classes: BTreeMap<u32, BranchClass> =
+        classify_program(&workload.program).into_iter().map(|r| (r.pc, r.class)).collect();
     let mut out: BTreeMap<BranchClass, f64> = BTreeMap::new();
     if report.instructions == 0 {
         return out;

@@ -158,7 +158,7 @@ pub fn serve(cfg: DaemonConfig) -> Result<(), String> {
         store,
         engine,
         log,
-        metrics: Mutex::new(MetricsRegistry::enabled()),
+        metrics: Mutex::new(MetricsRegistry::default()),
         executor_alive: AtomicBool::new(true),
     });
 

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example auto_transform`
 
-use cfd::analysis::{apply_cfd, classify_program, ClassifyConfig};
+use cfd::analysis::{apply_cfd, classify_program};
 use cfd::core::{Core, CoreConfig};
 use cfd::isa::{Assembler, MemImage, Reg};
 
@@ -47,7 +47,7 @@ fn main() {
 
     // 1. Classify: the paper's §II taxonomy, computed statically.
     println!("=== classification ===");
-    for rep in classify_program(&program, None, ClassifyConfig::default()) {
+    for rep in classify_program(&program) {
         println!(
             "pc {:3}  {:24}  CD region {:2} instrs, slice {:2}, overlap {}",
             rep.pc,

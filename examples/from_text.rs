@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release --example from_text`
 
-use cfd::analysis::{apply_cfd, classify_program, BranchClass, ClassifyConfig};
+use cfd::analysis::{apply_cfd, classify_program, BranchClass};
 use cfd::core::{Core, CoreConfig};
 use cfd::isa::{parse_program, MemImage, Reg};
 
@@ -34,7 +34,7 @@ fn main() {
     println!("parsed {} instructions; labels: {:?}\n", program.len(), program.labels().collect::<Vec<_>>());
 
     // Find the separable branch with the classifier (no annotations needed).
-    let branch_pc = classify_program(&program, None, ClassifyConfig::default())
+    let branch_pc = classify_program(&program)
         .into_iter()
         .find(|rep| rep.class == BranchClass::SeparableTotal)
         .map(|rep| rep.pc)

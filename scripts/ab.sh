@@ -8,12 +8,20 @@
 # at SEED (default 1). Odd pairs run PARENT first, even pairs CHANGE first.
 # One short untimed run per side first builds it. Then it prints, for each
 # end-to-end metric, each side's median and quartiles, the change in the
-# median, and how many pairs the change wins: strictly better in the
-# metric's `better` direction, ties counting for neither. Last come
-# whether every run printed the same digest and each side's failed
-# operations; the script exits 1 when the digests differ or an operation
-# failed. Neither checkout need be committed. Run nothing else meanwhile:
-# on a small host a concurrent job moves the metrics by tens of percent.
+# median, how many pairs the change wins (strictly better in the metric's
+# `better` direction, ties counting for neither), and a verdict against
+# the metric's BENCHMARK.json `bound` (a fraction of the parent's median):
+#   worse       the change's median is worse than the parent's by more
+#               than the bound;
+#   unresolved  the parent's own IQR exceeds the bound, and not every
+#               change run beats every parent run;
+#   ok          otherwise.
+# The verdict compares the runs of this invocation only, never older
+# records, and does not change the exit status. Last come whether every
+# run printed the same digest and each side's failed operations; the
+# script exits 1 when the digests differ or an operation failed. Neither
+# checkout need be committed. Run nothing else meanwhile: on a small host
+# a concurrent job moves the metrics by tens of percent.
 set -euo pipefail
 root=$(cd "$(dirname "$0")/.." && pwd)
 source "$root/scripts/bench-common.sh"
@@ -60,18 +68,26 @@ for i in $(seq 1 "$pairs"); do
 done
 
 echo "ab: $workload, seed $seed, $pairs pairs of ${seconds}-s runs; parent $(rev "$parent"), change $(rev "$change")"
-printf '%-20s %-36s %-36s %8s %6s\n' metric "parent median [q1, q3]" "change median [q1, q3]" change wins
-while read -r m better; do
+printf '%-20s %-36s %-36s %8s %6s  %s\n' metric "parent median [q1, q3]" "change median [q1, q3]" change wins \
+    verdict
+while read -r m better bound; do
     [[ -n $(metric_values "$m" "$tmp/parent.1") ]] || continue
-    read -r _ pq1 pmed pq3 < <(metric_values "$m" "$tmp"/parent.[0-9]* | quartiles)
-    read -r _ cq1 cmed cq3 < <(metric_values "$m" "$tmp"/change.[0-9]* | quartiles)
+    read -r pmin pq1 pmed pq3 pmax < <(metric_values "$m" "$tmp"/parent.[0-9]* | quartiles)
+    read -r cmin cq1 cmed cq3 cmax < <(metric_values "$m" "$tmp"/change.[0-9]* | quartiles)
     wins=$(for i in $(seq 1 "$pairs"); do
         echo "$(metric_values "$m" "$tmp/parent.$i") $(metric_values "$m" "$tmp/change.$i")"
     done | awk -v b="$better" '(b == "higher" && $2 > $1) || (b == "lower" && $2 < $1) {w++} END {print w + 0}')
     awk -v m="$m" -v p="$pmed" -v pa="$pq1" -v pb="$pq3" -v c="$cmed" -v ca="$cq1" -v cb="$cq3" \
-        -v w="$wins" -v n="$pairs" 'BEGIN {
-            printf "%-20s %-36s %-36s %+7.1f%% %3d/%d\n", m, sprintf("%.6g [%.6g, %.6g]", p, pa, pb),
-                sprintf("%.6g [%.6g, %.6g]", c, ca, cb), p == 0 ? 0 : 100 * (c - p) / p, w, n }'
+        -v w="$wins" -v n="$pairs" -v better="$better" -v bound="$bound" \
+        -v pmin="$pmin" -v pmax="$pmax" -v cmin="$cmin" -v cmax="$cmax" 'BEGIN {
+            # Signed loss of the change against the parent median, as a
+            # fraction of it: positive is worse in the `better` direction.
+            loss = p == 0 ? 0 : (better == "higher" ? p - c : c - p) / p
+            spread = p == 0 ? 0 : (pb - pa) / p
+            all_win = better == "higher" ? cmin > pmax : cmax < pmin
+            verdict = loss > bound ? "worse" : spread > bound && !all_win ? "unresolved" : "ok"
+            printf "%-20s %-36s %-36s %+7.1f%% %3d/%d  %s\n", m, sprintf("%.6g [%.6g, %.6g]", p, pa, pb),
+                sprintf("%.6g [%.6g, %.6g]", c, ca, cb), p == 0 ? 0 : 100 * (c - p) / p, w, n, verdict }'
 done <<< "$end_to_end"
 
 status=0

@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: workloads × analysis × profiler × timing
 //! core, exercised together the way the experiment harness uses them.
 
-use cfd::analysis::{classify_program, BranchClass, ClassifyConfig};
+use cfd::analysis::{classify_program, BranchClass};
 use cfd::core::{Core, CoreConfig, PerfectMode};
 use cfd::profile::profile;
 use cfd::workloads::{by_name, catalog, PaperClass, Scale, Variant};
@@ -46,7 +46,7 @@ fn static_classifier_agrees_with_kernel_annotations() {
     let scale = small();
     for name in ["soplex_ref_like", "mcf_like", "jpeg_like", "hmmer_like", "soplex_upd_like"] {
         let w = by_name(name).unwrap().build(Variant::Base, scale);
-        let reports = classify_program(&w.program, None, ClassifyConfig::default());
+        let reports = classify_program(&w.program);
         for ib in &w.interest {
             let got = reports.iter().find(|r| r.pc == ib.pc).expect("classified").class;
             let want = match ib.class {

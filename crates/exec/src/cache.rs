@@ -9,14 +9,15 @@
 //! that precedes it:
 //!
 //! ```json
-//! {"cache_version": 3, "kind": "sim", "job": "soplex_like [base]", "result": {...}, "check": "9f2c..."}
+//! {"cache_version": 4, "kind": "sim", "job": "soplex_like [base]", "result": {...}, "check": "9f2c..."}
 //! ```
 //!
 //! The `check` field is the hex of the repo's 128-bit content fingerprint
-//! computed over the entry bytes up to (not including) the `,"check":`
-//! suffix. Because the digest is the *last* thing written, a torn write
-//! (crash mid-store, non-atomic filesystem) leaves a file whose suffix is
-//! malformed, and a bit flip anywhere in the payload fails verification.
+//! ([`Hasher`]) computed over the entry bytes up to (not including) the
+//! `,"check":` suffix. Because the digest is the *last* thing written, a
+//! torn write (crash mid-store, non-atomic filesystem) leaves a file whose
+//! suffix is malformed, and a bit flip anywhere in the payload fails
+//! verification.
 //!
 //! Cache degradation is graded, never fatal:
 //!
@@ -46,10 +47,12 @@ use std::sync::Arc;
 /// entries from older builds read as misses instead of mis-decoding.
 /// v2: `RunReport` stats gained the `cpi_slots` CPI-stack array.
 /// v3: entries carry a trailing `check` integrity digest.
-pub const CACHE_VERSION: u64 = 3;
+/// v4: the fingerprint hashes words, not bytes, so every entry name and
+/// `check` digest changed; v3 entries read as plain misses.
+pub const CACHE_VERSION: u64 = 4;
 
 /// Byte length of the fixed `,"check":"<32 hex>"}\n` suffix that closes
-/// every v3 entry. The digest covers everything before this suffix.
+/// every entry. The digest covers everything before this suffix.
 const CHECK_SUFFIX_LEN: usize = 10 + 32 + 3;
 
 /// A cache IO failure with enough context to act on. `Io` failures flip
@@ -225,8 +228,8 @@ impl DiskCache {
         if recorded != computed {
             return self.quarantine(&path, format!("digest mismatch: recorded {recorded}, computed {computed}"));
         }
-        match entry.get("result") {
-            Some(result) => CacheLoad::Hit(result.clone()),
+        match entry.into_field("result") {
+            Some(result) => CacheLoad::Hit(result),
             None => self.quarantine(&path, "missing result".to_string()),
         }
     }

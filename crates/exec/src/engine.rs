@@ -14,7 +14,7 @@ use cfd_obs::{ArgValue, EventLog, Level, MetricsRegistry, TraceLog};
 use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 /// A unit of work a campaign submits to the [`Engine`].
@@ -399,25 +399,34 @@ impl Engine {
         )
     }
 
-    /// Opens (or resumes) the campaign's write-ahead journal. The file
-    /// lives under `<cache>/journal/` and is named by the campaign
-    /// fingerprint — a fold over every submitted job fingerprint — so a
-    /// resumed invocation with identical inputs finds its own journal and
-    /// a changed campaign never replays a stale one. Journal IO is
-    /// best-effort: failure to open degrades to journal-less execution
-    /// (and so, on resume, to an empty quarantine ledger), with one
-    /// warning.
-    fn open_journal(&self, fps: &[Fingerprint], log: Option<&EventLog>) -> (Option<Journal>, Replay) {
-        let Some(cache) = &self.cache else { return (None, Replay::default()) };
-        if !self.cfg.journal {
-            return (None, Replay::default());
-        }
+    /// The campaign fingerprint and the write-ahead journal it names,
+    /// `<cache>/journal/<campaign>.wal`, or `None` when journaling is off.
+    /// The campaign fingerprint folds every submitted job fingerprint, so
+    /// a resumed invocation with identical inputs finds its own journal
+    /// and a changed campaign never replays a stale one.
+    fn journal_path(&self, fps: &[Fingerprint]) -> Option<(String, PathBuf)> {
+        let cache = self.cache.as_ref().filter(|_| self.cfg.journal)?;
         let campaign = campaign_fingerprint(fps).hex();
         let path = cache.dir().join("journal").join(format!("{campaign}.wal"));
+        Some((campaign, path))
+    }
+
+    /// Opens (or, with `resume`, replays) the campaign's journal at
+    /// `path` and writes its header unless the replay already holds one.
+    /// Journal IO is best-effort: failure to open degrades to journal-less
+    /// execution (and so, on resume, to an empty quarantine ledger), with
+    /// one warning.
+    fn open_journal(
+        &self,
+        campaign: &str,
+        path: &Path,
+        jobs: usize,
+        log: Option<&EventLog>,
+    ) -> (Option<Journal>, Replay) {
         let opened = if self.cfg.resume {
-            Journal::open_resume(&path)
+            Journal::open_resume(path)
         } else {
-            Journal::create(&path).map(|j| (j, Replay::default()))
+            Journal::create(path).map(|j| (j, Replay::default()))
         };
         let (journal, replay) = match opened {
             Ok(opened) => opened,
@@ -431,7 +440,7 @@ impl Engine {
             None => journal,
         };
         if replay.campaign.is_none() {
-            let _ = journal.append(&JournalRecord::Campaign { fingerprint: campaign, jobs: fps.len() as u64 });
+            let _ = journal.append(&JournalRecord::Campaign { fingerprint: campaign.to_string(), jobs: jobs as u64 });
         }
         (Some(journal), replay)
     }
@@ -442,10 +451,11 @@ impl Engine {
     ///
     /// Pipeline per unique fingerprint: consult the poisoned-job ledger
     /// (resume only), probe the cache — quarantining corrupt entries for
-    /// re-execution — then execute the misses under `catch_unwind` on the
-    /// worker pool. Completion is made durable *inside the worker* (cache
-    /// store, then journal `done`/`failed` record), so a process killed
-    /// mid-batch keeps every finished job. Failed jobs re-run in retry
+    /// re-execution — then, when anything missed, open the journal and
+    /// execute the misses under `catch_unwind` on the worker pool.
+    /// Completion is made durable *inside the worker* (cache store, then
+    /// journal `done`/`failed` record), so a process killed mid-batch
+    /// keeps every finished job. Failed jobs re-run in retry
     /// waves ordered by fingerprint (never by completion time); jobs that
     /// fail every attempt can be promoted into the quarantine ledger.
     /// Because each slot is filled purely by its input index, an N-thread
@@ -460,7 +470,13 @@ impl Engine {
         let progress = Mutex::new(BatchProgress { total: n as u64, ..BatchProgress::default() });
 
         let fps: Vec<Fingerprint> = jobs.iter().map(|j| j.fingerprint()).collect();
-        let (journal, replay) = self.open_journal(&fps, log.as_deref());
+        // A resume replays the journal first: its quarantine ledger decides
+        // which jobs the probe skips. A fresh run opens it after the probe.
+        let wal = self.journal_path(&fps);
+        let (mut journal, replay) = match &wal {
+            Some((campaign, path)) if self.cfg.resume => self.open_journal(campaign, path, n, log.as_deref()),
+            _ => (None, Replay::default()),
+        };
 
         // First submission of each fingerprint owns the execution;
         // later duplicates fold onto it.
@@ -542,6 +558,18 @@ impl Engine {
             p.cache_hits = batch.cache_hits;
             p.failed = batch.quarantined;
         });
+
+        // A fresh run journals only a batch that executes something: with
+        // nothing to run there is nothing to make durable, so it opens no
+        // journal, fsyncs nothing, and removes the campaign's stale one
+        // (a later resume must not replay an older run's records).
+        if let Some((campaign, path)) = wal.filter(|_| !self.cfg.resume) {
+            if to_run.is_empty() {
+                let _ = std::fs::remove_file(&path);
+            } else {
+                journal = self.open_journal(&campaign, &path, n, log.as_deref()).0;
+            }
+        }
 
         // Strike counts carry over from resumed sessions, so a job that
         // crashed the previous run and crashes again accumulates toward
@@ -999,6 +1027,31 @@ mod tests {
         let (_journal, replay) = Journal::open_resume(&path).expect("journal exists");
         assert_eq!(replay.records, 1 + jobs.len() as u64, "the header plus one `done` per job");
         assert_eq!(replay.completed.len(), jobs.len());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn warm_batch_journals_nothing_and_removes_the_stale_journal() {
+        let dir = temp_cache("warm-write-set");
+        let jobs = squares(&[1, 2, 3, 3], 0);
+        let fps: Vec<Fingerprint> = jobs.iter().map(CampaignJob::fingerprint).collect();
+        let path = dir.join("journal").join(format!("{}.wal", campaign_fingerprint(&fps).hex()));
+        let fresh = || Engine::new(ExecConfig { cache_dir: dir.clone(), ..ExecConfig::default() });
+        assert!(fresh().run_all(&jobs).iter().all(Result::is_ok));
+        assert!(path.exists(), "a cold batch journals");
+        // Every job a hit or a duplicate of one: nothing executes, so
+        // nothing is journaled and the cold run's journal is gone.
+        for _ in 0..2 {
+            let warm = fresh();
+            assert_eq!(warm.run_all(&jobs), vec![Ok(1), Ok(4), Ok(9), Ok(9)]);
+            assert_eq!((warm.stats().executed, warm.stats().cache_hits, warm.stats().deduped), (0, 3, 1));
+            assert!(!path.exists(), "a batch that executes nothing leaves no journal");
+        }
+        // A resume keeps journaling as before, hit or not.
+        let resumed = Engine::new(ExecConfig { cache_dir: dir.clone(), resume: true, ..ExecConfig::default() });
+        assert!(resumed.run_all(&jobs).iter().all(Result::is_ok));
+        let (_journal, replay) = Journal::open_resume(&path).expect("journal exists");
+        assert_eq!(replay.records, 1, "the resumed all-hit batch writes its header");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

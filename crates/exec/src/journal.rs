@@ -6,8 +6,10 @@
 //! appends a `campaign` header, then one record per finished attempt —
 //! `done` or `failed` — and a `quarantined` record per job that exhausts
 //! its retries, each fsync'd before the engine proceeds. A cold batch of
-//! N jobs that all succeed journals 1 + N records. A process killed
-//! mid-campaign (SIGKILL, power loss) can then be resumed with
+//! N jobs that all succeed journals 1 + N records; outside `--resume`, a
+//! batch that executes nothing (every job a cache hit or a duplicate)
+//! journals nothing and removes the campaign's stale journal. A process
+//! killed mid-campaign (SIGKILL, power loss) can then be resumed with
 //! `--resume`: the journal's valid prefix is replayed, strike counts and
 //! quarantine verdicts are restored, and only jobs that never completed
 //! re-execute (their results come out of the content-addressed cache

@@ -289,7 +289,7 @@ impl CampaignJob for SimJob {
     fn fingerprint(&self) -> Fingerprint {
         let mut h = Hasher::new();
         h.section("kind", b"sim");
-        h.section("workload", &self.workload.fingerprint_bytes());
+        self.workload.hash_into(&mut h);
         h.section("config", self.cfg.stable_repr().as_bytes());
         h.section("cycle_limit", &self.cycle_limit.to_le_bytes());
         h.finish()
@@ -348,7 +348,7 @@ impl CampaignJob for FuncJob {
     fn fingerprint(&self) -> Fingerprint {
         let mut h = Hasher::new();
         h.section("kind", b"func");
-        h.section("workload", &self.workload.fingerprint_bytes());
+        self.workload.hash_into(&mut h);
         h.finish()
     }
 
@@ -393,7 +393,7 @@ impl CampaignJob for ProfileJob {
     fn fingerprint(&self) -> Fingerprint {
         let mut h = Hasher::new();
         h.section("kind", b"profile");
-        h.section("workload", &self.workload.fingerprint_bytes());
+        self.workload.hash_into(&mut h);
         h.section("predictor", self.predictor.as_bytes());
         h.section("instruction_limit", &self.instruction_limit.to_le_bytes());
         h.finish()
@@ -532,5 +532,17 @@ mod tests {
     fn truncated_report_is_rejected() {
         let v = Json::parse(r#"{"stats":{"cycles":1}}"#).unwrap();
         assert!(run_report_from_json(&v).is_none());
+    }
+
+    /// A simulated report, not a hand-built one, survives the cache
+    /// codec: written, parsed, decoded and written again, byte for byte.
+    #[test]
+    fn simulated_report_roundtrips_through_the_reader() {
+        let entry = cfd_workloads::by_name("soplex_ref_like").expect("in catalog");
+        let workload = entry.build(cfd_workloads::Variant::Cfd, cfd_workloads::Scale { n: 50, seed: 3 });
+        let job = SimJob { workload, cfg: CoreConfig::default(), cycle_limit: 10_000_000 };
+        let json = run_report_to_json(&job.execute());
+        let back = run_report_from_json(&Json::parse(&json).unwrap()).expect("decodes");
+        assert_eq!(run_report_to_json(&back), json);
     }
 }

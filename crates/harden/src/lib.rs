@@ -526,7 +526,7 @@ impl CampaignJob for TrialJob {
 
     fn fingerprint(&self) -> Fingerprint {
         let mut h = Hasher::new();
-        h.section("workload", &self.workload.fingerprint_bytes());
+        self.workload.hash_into(&mut h);
         h.section("fault", format!("{:?} nth={}", self.fault, self.nth).as_bytes());
         let core_cfg = CoreConfig { watchdog_cycles: self.watchdog_cycles, ..Default::default() };
         h.section("config", core_cfg.stable_repr().as_bytes());

@@ -1,9 +1,9 @@
-//! FNV-1a, the workspace's one 64-bit content hash.
+//! FNV-1a, the workspace's 64-bit checksum.
 //!
 //! Stable across runs and platforms, and a few lines of obvious code: the
-//! workload checksums, the checkpoint seal and lane A of the campaign
-//! engine's fingerprint all use it. It detects corruption; it is not a
-//! security hash.
+//! workload checksums and the checkpoint seal use it, a byte at a time.
+//! It detects corruption; it is not a security hash. Content fingerprints
+//! use the word-wise [`Hasher`](crate::Hasher) instead.
 
 const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const PRIME: u64 = 0x0000_0100_0000_01b3;

@@ -12,7 +12,9 @@
 //! * a label-resolving [`Assembler`] producing [`Program`]s,
 //! * a sparse data-memory image ([`MemImage`]),
 //! * a functional reference simulator ([`Machine`]) with a retirement-trace
-//!   hook ([`TraceSink`]) used by the profiler and by verification oracles.
+//!   hook ([`TraceSink`]) used by the profiler and by verification oracles,
+//! * the content hashes: the [`Fnv1a`] checksum and the streamed 128-bit
+//!   [`Hasher`] behind result-cache [`Fingerprint`]s.
 //!
 //! # Example
 //!
@@ -57,6 +59,7 @@
 //! ```
 
 pub mod check;
+mod fingerprint;
 mod fnv;
 mod instr;
 mod mem_image;
@@ -68,6 +71,7 @@ mod semantics;
 mod sim;
 
 pub use check::Rng;
+pub use fingerprint::{Fingerprint, Hasher};
 pub use fnv::Fnv1a;
 pub use instr::{AluOp, BranchCond, Instr, MemWidth, QueueKind, QueueOp, QueueOpKind, Src2};
 pub use mem_image::MemImage;

@@ -7,6 +7,7 @@
 //! the simulated regions).
 
 use crate::instr::MemWidth;
+use crate::Hasher;
 use std::collections::HashMap;
 
 const PAGE_SHIFT: u64 = 12;
@@ -134,25 +135,24 @@ impl MemImage {
         (0..len).map(|i| self.read_byte(addr + i as u64)).collect()
     }
 
-    /// A stable, content-complete byte serialization of the image, for
+    /// Feeds the image into `h` as one length-prefixed `mem` section, for
     /// content-addressed fingerprinting (`cfd-exec`).
     ///
-    /// Pages are emitted in ascending page-index order (the backing
-    /// `HashMap`'s iteration order never leaks), each as its little-endian
-    /// index followed by its 4 KiB payload. Two images with the same
-    /// mapped content serialize identically regardless of write order;
-    /// note an explicitly written all-zero page *is* content (it differs
-    /// from an unmapped page here even though reads cannot tell them
-    /// apart).
-    pub fn stable_bytes(&self) -> Vec<u8> {
-        let mut indices: Vec<u64> = self.pages.keys().copied().collect();
-        indices.sort_unstable();
-        let mut out = Vec::with_capacity(indices.len() * (PAGE_SIZE + 8));
-        for idx in indices {
-            out.extend_from_slice(&idx.to_le_bytes());
-            out.extend_from_slice(&self.pages[&idx][..]);
+    /// Pages go in ascending page-index order (the backing `HashMap`'s
+    /// iteration order never leaks), each as its little-endian index
+    /// followed by its 4 KiB payload, streamed straight from the page
+    /// table. Two images with the same mapped content hash identically
+    /// regardless of write order; note an explicitly written all-zero page
+    /// *is* content (it differs from an unmapped page here even though
+    /// reads cannot tell them apart).
+    pub fn hash_into(&self, h: &mut Hasher) {
+        let mut pages: Vec<_> = self.pages.iter().collect();
+        pages.sort_unstable_by_key(|&(&idx, _)| idx);
+        h.section_header("mem", (pages.len() * (8 + PAGE_SIZE)) as u64);
+        for (idx, page) in pages {
+            h.update(&idx.to_le_bytes());
+            h.update(&page[..]);
         }
-        out
     }
 }
 
@@ -194,19 +194,38 @@ mod tests {
         assert_eq!(m.read_bytes(0x3000, 5), b"hello");
     }
 
+    fn fingerprint(m: &MemImage) -> crate::Fingerprint {
+        let mut h = Hasher::new();
+        m.hash_into(&mut h);
+        h.finish()
+    }
+
     #[test]
-    fn stable_bytes_independent_of_write_order() {
+    fn hash_independent_of_write_order() {
         let mut a = MemImage::new();
         a.write_u64(0x1000, 7);
         a.write_u64(0x9000, 9);
         let mut b = MemImage::new();
         b.write_u64(0x9000, 9);
         b.write_u64(0x1000, 7);
-        assert_eq!(a.stable_bytes(), b.stable_bytes());
+        assert_eq!(fingerprint(&a), fingerprint(&b));
         b.write_u64(0x1000, 8);
-        assert_ne!(a.stable_bytes(), b.stable_bytes());
-        // Two pages: 2 * (8-byte index + 4 KiB payload).
-        assert_eq!(a.stable_bytes().len(), 2 * (8 + 4096));
+        assert_ne!(fingerprint(&a), fingerprint(&b));
+        // The section is two pages: 2 * (8-byte index + 4 KiB payload),
+        // each page's index then payload.
+        let mut want = Hasher::new();
+        want.section_header("mem", 2 * (8 + 4096));
+        for (idx, word) in [(1u64, 7u64), (9, 9)] {
+            let mut page = [0u8; PAGE_SIZE];
+            page[..8].copy_from_slice(&word.to_le_bytes());
+            want.update(&idx.to_le_bytes());
+            want.update(&page);
+        }
+        assert_eq!(fingerprint(&a), want.finish());
+        // A mapped all-zero page is content.
+        let mut c = a.clone();
+        c.write_u64(0x5000, 0);
+        assert_ne!(fingerprint(&a), fingerprint(&c));
     }
 
     /// Every width at every offset up to a page's end: in-page accesses

@@ -414,7 +414,7 @@ mod tests {
             .map(|_| {
                 let k = rng.below(16) as usize;
                 next[k] += 64 * (k as u64 + 1);
-                if k % 2 == 0 {
+                if k.is_multiple_of(2) {
                     (k as u64 * 4, (k as u64) << 24 | next[k], false)
                 } else {
                     (k as u64 * 4, rng.below(1 << 22), rng.chance(30))

@@ -56,7 +56,7 @@ impl Json {
     /// cache never writes (floats, negative numbers, exponents).
     pub fn parse(s: &str) -> Result<Json, JsonError> {
         let b = s.as_bytes();
-        let mut p = Parser { b, i: 0 };
+        let mut p = Parser { s, b, i: 0 };
         p.ws();
         let v = p.value()?;
         p.ws();
@@ -70,6 +70,15 @@ impl Json {
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// Object field lookup by value: moves the field out instead of
+    /// cloning it.
+    pub fn into_field(self, key: &str) -> Option<Json> {
+        match self {
+            Json::Obj(fields) => fields.into_iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
     }
@@ -118,6 +127,7 @@ impl Json {
 }
 
 struct Parser<'a> {
+    s: &'a str,
     b: &'a [u8],
     i: usize,
 }
@@ -218,12 +228,13 @@ impl<'a> Parser<'a> {
                     self.i += 1;
                 }
                 _ => {
-                    // Consume one UTF-8 scalar (multi-byte sequences pass
-                    // through unchanged).
-                    let rest = std::str::from_utf8(&self.b[self.i..]).map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.i += c.len_utf8();
+                    // Copy the run up to the next `"` or `\` in one step.
+                    // Both are ASCII, so the run ends on a char boundary
+                    // of the (already valid UTF-8) input.
+                    let run = self.b[self.i..].iter().position(|&c| c == b'"' || c == b'\\');
+                    let end = run.map_or(self.b.len(), |n| self.i + n);
+                    out.push_str(&self.s[self.i..end]);
+                    self.i = end;
                 }
             }
         }
@@ -349,6 +360,48 @@ mod tests {
         assert_eq!(s, "\"a\\\"b\\\\c\\n\\r\\t\\u0001\"");
         // And parses back.
         assert_eq!(Json::parse(&s).unwrap().as_str(), Some(raw));
+    }
+
+    /// A string past 256 KiB of multi-byte scalars, every character
+    /// `quote` escapes and raw control characters parses back exactly
+    /// (and in linear time: each run between escapes is copied at once).
+    #[test]
+    fn long_strings_roundtrip() {
+        let piece = "aé€𝄞\"\\\n\r\t\u{0}\u{8}\u{c}\u{1f}\u{7f}/ ";
+        let raw = piece.repeat(256 * 1024 / piece.len() + 1);
+        assert!(raw.len() > 256 * 1024);
+        assert_eq!(Json::parse(&quote(&raw)).unwrap().as_str(), Some(raw.as_str()));
+        // Inside an object, next to other values.
+        let doc = format!("{{\"s\":{},\"n\":7}}", quote(&raw));
+        let v = Json::parse(&doc).unwrap();
+        assert_eq!(v.get("s").unwrap().as_str(), Some(raw.as_str()));
+        assert_eq!(v.get("n").unwrap().as_u64(), Some(7));
+    }
+
+    /// The escapes `quote` never writes, and raw control characters the
+    /// writers never leave unescaped, still decode.
+    #[test]
+    fn every_escape_and_raw_control_characters_decode() {
+        let v = Json::parse(r#""\"\\\/\b\f\n\r\t\u00e9\u20ac""#).unwrap();
+        assert_eq!(v.as_str(), Some("\"\\/\u{8}\u{c}\n\r\t\u{e9}€"));
+        assert_eq!(Json::parse("\"a\u{1}\tb\u{7f}é\"").unwrap().as_str(), Some("a\u{1}\tb\u{7f}é"));
+    }
+
+    #[test]
+    fn string_errors_keep_their_offsets() {
+        assert_eq!(Json::parse("\"abc"), Err(JsonError { at: 4, what: "unterminated string" }));
+        assert_eq!(Json::parse("\"é€"), Err(JsonError { at: 6, what: "unterminated string" }));
+        assert_eq!(Json::parse("\"ab\\"), Err(JsonError { at: 4, what: "unterminated escape" }));
+        assert_eq!(Json::parse("\"ab\\q\""), Err(JsonError { at: 4, what: "bad escape" }));
+        assert_eq!(Json::parse("\"\\u12\""), Err(JsonError { at: 2, what: "short unicode escape" }));
+    }
+
+    #[test]
+    fn into_field_moves_the_first_match_out() {
+        let v = Json::parse(r#"{"a": [1], "b": "x", "a": 2}"#).unwrap();
+        assert_eq!(v.clone().into_field("a"), Some(Json::Arr(vec![Json::Num(1)])));
+        assert_eq!(v.into_field("c"), None);
+        assert_eq!(Json::Num(3).into_field("a"), None);
     }
 
     #[test]

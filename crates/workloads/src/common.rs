@@ -1,6 +1,6 @@
 //! Shared workload infrastructure: variants, scales, verification.
 
-use cfd_isa::{Fnv1a, Machine, MemImage, Program, Reg, SimError};
+use cfd_isa::{Fnv1a, Hasher, Machine, MemImage, Program, Reg, SimError};
 use std::fmt;
 
 /// Which transformation of a kernel to build (paper §VII).
@@ -181,29 +181,22 @@ impl Workload {
         Ok(out)
     }
 
-    /// A stable, content-complete byte serialization of the workload for
-    /// content-addressed result fingerprinting (`cfd-exec`): covers the
-    /// program, the initial memory image, and the observation metadata
-    /// (observable registers and checked ranges), plus the identity
-    /// labels. Two builds of the same catalog entry at the same
-    /// [`Scale`] produce identical bytes; changing the scale, seed,
-    /// variant, or any kernel code changes them.
-    pub fn fingerprint_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        let mut section = |tag: &str, body: &[u8]| {
-            out.extend_from_slice(tag.as_bytes());
-            out.extend_from_slice(&(body.len() as u64).to_le_bytes());
-            out.extend_from_slice(body);
-        };
-        section("name", self.name.as_bytes());
-        section("variant", self.variant.label().as_bytes());
-        section("program", &self.program.stable_bytes());
-        section("mem", &self.mem.stable_bytes());
+    /// Feeds the workload's content into `h` for content-addressed result
+    /// fingerprinting (`cfd-exec`), as tagged, length-prefixed sections:
+    /// the identity labels, the program, the initial memory image
+    /// (streamed page by page) and the observation metadata (observable
+    /// registers and checked ranges). Two builds of the same catalog entry
+    /// at the same [`Scale`] hash identically; changing the scale, seed,
+    /// variant, or any kernel code changes the hash.
+    pub fn hash_into(&self, h: &mut Hasher) {
+        h.section("name", self.name.as_bytes());
+        h.section("variant", self.variant.label().as_bytes());
+        h.section("program", &self.program.stable_bytes());
+        self.mem.hash_into(h);
         let obs: String = self.observable.iter().map(|r| format!("{r:?},")).collect();
-        section("observable", obs.as_bytes());
+        h.section("observable", obs.as_bytes());
         let ranges: String = self.check_ranges.iter().map(|(a, l)| format!("{a}+{l},")).collect();
-        section("check_ranges", ranges.as_bytes());
-        out
+        h.section("check_ranges", ranges.as_bytes());
     }
 
     /// Retired instruction count of a functional run (for Table III
@@ -336,18 +329,33 @@ mod tests {
         assert!((2500..3500).contains(&hits), "hits={hits}");
     }
 
+    fn fingerprint(w: &Workload) -> cfd_isa::Fingerprint {
+        let mut h = Hasher::new();
+        w.hash_into(&mut h);
+        h.finish()
+    }
+
     #[test]
-    fn fingerprint_bytes_track_build_inputs() {
+    fn fingerprints_track_build_inputs() {
         let entry = crate::by_name("soplex_ref_like").expect("in catalog");
         let scale = Scale { n: 50, seed: 3 };
-        let a = entry.build(Variant::Base, scale).fingerprint_bytes();
-        assert_eq!(a, entry.build(Variant::Base, scale).fingerprint_bytes(), "builds are reproducible");
-        let bigger = entry.build(Variant::Base, Scale { n: 60, seed: 3 }).fingerprint_bytes();
-        let reseeded = entry.build(Variant::Base, Scale { n: 50, seed: 4 }).fingerprint_bytes();
-        let cfd = entry.build(Variant::Cfd, scale).fingerprint_bytes();
+        let base = entry.build(Variant::Base, scale);
+        let a = fingerprint(&base);
+        assert_eq!(a, fingerprint(&entry.build(Variant::Base, scale)), "builds are reproducible");
+        let bigger = fingerprint(&entry.build(Variant::Base, Scale { n: 60, seed: 3 }));
+        let reseeded = fingerprint(&entry.build(Variant::Base, Scale { n: 50, seed: 4 }));
+        let cfd = fingerprint(&entry.build(Variant::Cfd, scale));
         assert_ne!(a, bigger, "trip count is content");
         assert_ne!(a, reseeded, "data seed is content");
         assert_ne!(a, cfd, "variant is content");
+        // One byte of one mapped page is content, wherever it lies.
+        for at in [crate::patterns::DATA_BASE, crate::patterns::DATA_BASE + 8 * 50 - 1] {
+            let mut poked = base.clone();
+            let old = poked.mem.read(at, cfd_isa::MemWidth::B1, false);
+            poked.mem.write(at, old ^ 1, cfd_isa::MemWidth::B1);
+            assert_eq!(poked.mem.mapped_pages(), base.mem.mapped_pages(), "{at:#x} is on a mapped page");
+            assert_ne!(a, fingerprint(&poked), "byte {at:#x} of the memory image is content");
+        }
     }
 
     #[test]

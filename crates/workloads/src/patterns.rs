@@ -21,7 +21,7 @@ use crate::common::{regs, InterestBranch, PaperClass, Scale, Suite, Variant, Wor
 use cfd_isa::{Assembler, MemImage, Reg};
 
 /// Base address of the scanned data array.
-const DATA_BASE: u64 = 0x10_0000;
+pub(crate) const DATA_BASE: u64 = 0x10_0000;
 /// Base address of the permutation (indirection) array.
 const PERM_BASE: u64 = 0x400_0000;
 /// Base address of the output arrays written by CD regions.

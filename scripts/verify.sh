@@ -17,8 +17,8 @@ cargo build --release --offline --workspace
 echo "== tier-1: cargo test -q --offline --workspace"
 cargo test -q --offline --workspace
 
-echo "== lint gate: cargo clippy --all-targets -- -D warnings"
-cargo clippy -q --offline --all-targets -- -D warnings
+echo "== lint gate: cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy -q --offline --workspace --all-targets -- -D warnings
 
 echo "== format gate: cargo fmt --check"
 cargo fmt --check

@@ -9,10 +9,52 @@
 use crate::instr::MemWidth;
 use crate::Hasher;
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
 const PAGE_SHIFT: u64 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 const PAGE_MASK: u64 = (PAGE_SIZE as u64) - 1;
+
+type Page = Box<[u8; PAGE_SIZE]>;
+
+/// The page table's key hasher: one 64 × 64 → 128-bit multiply of the page
+/// index by an odd constant, the high half folded (xor) into the low.
+///
+/// Every functional load and store looks its page up, and the default
+/// SipHash costs more than the access itself. A plain multiply would do
+/// for the low, consecutive page indices kernels use, but its low bits,
+/// which the table indexes by, ignore the key's high bits; the folded high
+/// half makes every low bit depend on every key bit. Iteration order is
+/// never observable ([`MemImage::hash_into`] sorts the pages).
+#[derive(Debug, Clone, Copy, Default)]
+struct PageIndexHasher(u64);
+
+/// The golden-ratio multiplier with bits 12–23 cleared. A page index has
+/// at most 52 bits; with no carry out of those cleared bits, indices that
+/// differ only in their top 12 bits reach the hash's low 12 bits through
+/// the high half as `i * (MULTIPLIER >> 24)`, a bijection, so they never
+/// share a bucket of a table of up to 4096 pages.
+const MULTIPLIER: u64 = 0x9e37_79b9_7f4a_7c15 & !0x00ff_f000;
+
+impl std::hash::Hasher for PageIndexHasher {
+    #[inline]
+    fn write_u64(&mut self, key: u64) {
+        let wide = u128::from(key) * u128::from(MULTIPLIER);
+        self.0 = (wide as u64) ^ (wide >> 64) as u64;
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        // Page indices are `u64`s and hash through `write_u64`.
+        for &b in bytes {
+            self.write_u64(self.0 ^ u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// Sparse, paged data memory.
 ///
@@ -27,7 +69,7 @@ const PAGE_MASK: u64 = (PAGE_SIZE as u64) - 1;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct MemImage {
-    pages: HashMap<u64, Box<[u8; PAGE_SIZE]>>,
+    pages: HashMap<u64, Page, BuildHasherDefault<PageIndexHasher>>,
 }
 
 impl MemImage {
@@ -65,24 +107,29 @@ impl MemImage {
 
     /// Reads `width` bytes, little-endian, zero- or sign-extended to `i64`.
     ///
-    /// An access inside one page costs one page lookup; one that crosses
-    /// a page boundary reads byte by byte.
+    /// An access inside one page costs one page lookup and one load of
+    /// exactly `width` bytes; one that crosses a page boundary reads byte
+    /// by byte.
     pub fn read(&self, addr: u64, width: MemWidth, signed: bool) -> i64 {
         let n = width.bytes() as usize;
-        let mut bytes = [0u8; 8];
-        match Self::in_page(addr, n) {
-            Some(range) => {
-                if let Some(p) = self.pages.get(&(addr >> PAGE_SHIFT)) {
-                    bytes[..n].copy_from_slice(&p[range]);
-                }
-            }
+        let v = match Self::in_page(addr, n) {
+            Some(range) => match self.pages.get(&(addr >> PAGE_SHIFT)) {
+                Some(p) => match width {
+                    MemWidth::B1 => load::<1>(p, range.start),
+                    MemWidth::B2 => load::<2>(p, range.start),
+                    MemWidth::B4 => load::<4>(p, range.start),
+                    MemWidth::B8 => load::<8>(p, range.start),
+                },
+                None => 0,
+            },
             None => {
+                let mut bytes = [0u8; 8];
                 for (i, b) in bytes[..n].iter_mut().enumerate() {
                     *b = self.read_byte(addr.wrapping_add(i as u64));
                 }
+                u64::from_le_bytes(bytes)
             }
-        }
-        let v = u64::from_le_bytes(bytes);
+        };
         if signed {
             let shift = 64 - 8 * n as u32;
             ((v << shift) as i64) >> shift
@@ -93,13 +140,22 @@ impl MemImage {
 
     /// Writes the low `width` bytes of `val`, little-endian.
     ///
-    /// An access inside one page costs one page lookup; one that crosses
-    /// a page boundary writes byte by byte.
+    /// An access inside one page costs one page lookup and one store of
+    /// exactly `width` bytes; one that crosses a page boundary writes byte
+    /// by byte.
     pub fn write(&mut self, addr: u64, val: i64, width: MemWidth) {
         let n = width.bytes() as usize;
         let bytes = val.to_le_bytes();
         match Self::in_page(addr, n) {
-            Some(range) => self.page_mut(addr)[range].copy_from_slice(&bytes[..n]),
+            Some(range) => {
+                let p = self.page_mut(addr);
+                match width {
+                    MemWidth::B1 => store::<1>(p, range.start, bytes),
+                    MemWidth::B2 => store::<2>(p, range.start, bytes),
+                    MemWidth::B4 => store::<4>(p, range.start, bytes),
+                    MemWidth::B8 => store::<8>(p, range.start, bytes),
+                }
+            }
             None => {
                 for (i, &b) in bytes[..n].iter().enumerate() {
                     self.write_byte(addr.wrapping_add(i as u64), b);
@@ -154,6 +210,21 @@ impl MemImage {
             h.update(&page[..]);
         }
     }
+}
+
+/// The `N` bytes at `off`, little-endian: a copy of a length known at
+/// compile time, so one load rather than a `memcpy` call.
+#[inline(always)]
+fn load<const N: usize>(page: &[u8; PAGE_SIZE], off: usize) -> u64 {
+    let mut bytes = [0u8; 8];
+    bytes[..N].copy_from_slice(&page[off..off + N]);
+    u64::from_le_bytes(bytes)
+}
+
+/// Stores the low `N` of `bytes` at `off` (see [`load`]).
+#[inline(always)]
+fn store<const N: usize>(page: &mut [u8; PAGE_SIZE], off: usize, bytes: [u8; 8]) {
+    page[off..off + N].copy_from_slice(&bytes[..N]);
 }
 
 #[cfg(test)]
@@ -272,6 +343,40 @@ mod tests {
             }
         }
         assert_eq!(m.mapped_pages(), 1, "reads never map a page");
+    }
+
+    /// Page indices that differ only in their high bits spread over the
+    /// table's low hash bits (a plain multiply maps them all to 0), read
+    /// back what was written, and fingerprint alike in any write order.
+    #[test]
+    fn page_hasher_spreads_high_bits() {
+        use std::hash::BuildHasher;
+        let pages: Vec<u64> = (0..4096u64).map(|i| i << 40).collect();
+        let build = BuildHasherDefault::<PageIndexHasher>::default();
+        let mut low: Vec<u64> = pages.iter().map(|&k| build.hash_one(k) & 0xfff).collect();
+        low.sort_unstable();
+        low.dedup();
+        assert_eq!(low.len(), pages.len(), "distinct low 12 bits");
+
+        // Page `i` holds one word, at a different offset per page.
+        let word = |i: usize| ((pages[i] << PAGE_SHIFT) + (i as u64 % 512) * 8, i as u64 ^ 0x5a5a);
+        let (mut a, mut b) = (MemImage::new(), MemImage::new());
+        for i in 0..pages.len() {
+            let (addr, val) = word(i);
+            a.write_u64(addr, val);
+        }
+        for i in (0..pages.len()).rev() {
+            let (addr, val) = word(i);
+            b.write_u64(addr, val);
+        }
+        assert_eq!(a.mapped_pages(), pages.len());
+        for i in 0..pages.len() {
+            let (addr, val) = word(i);
+            assert_eq!(a.read_u64(addr), val);
+            assert_eq!(b.read_u64(addr), val);
+            assert_eq!(a.read(addr + 8, MemWidth::B8, false), 0, "page {i} past its word");
+        }
+        assert_eq!(fingerprint(&a), fingerprint(&b));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! inverts low-confidence predictions when inversion has a track record.
 
 /// Per-prediction metadata.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct CorrectorMeta {
     index: usize,
     /// Whether the corrector inverted TAGE's prediction.

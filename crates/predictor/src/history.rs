@@ -59,12 +59,23 @@ pub const MAX_FOLDS: usize = 48;
 /// Snapshot of the history state at a branch, for misprediction recovery.
 ///
 /// Fixed-size (no heap) because one is taken per predicted branch; it
-/// holds the fold values only, not their shapes.
+/// holds the fold values only, not their shapes. Only the first
+/// `n` slots are live, `n` being the number of folds of the history it
+/// was taken from: [`GlobalHistory::snapshot_into`] writes and
+/// [`GlobalHistory::restore`] reads just those, so a snapshot refilled in
+/// place may keep stale values past them, and they are never read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistorySnapshot {
     pos: u64,
     phist: u32,
     values: [u32; MAX_FOLDS],
+}
+
+impl Default for HistorySnapshot {
+    /// The state of a fresh history: nothing inserted, every fold zero.
+    fn default() -> Self {
+        HistorySnapshot { pos: 0, phist: 0, values: [0; MAX_FOLDS] }
+    }
 }
 
 /// The speculative global history: a circular bit buffer plus a set of
@@ -147,6 +158,20 @@ impl GlobalHistory {
         (n as u64) < self.pos && self.bit(self.pos - 1 - n as u64) != 0
     }
 
+    /// The 32 most recent history bits, bit `i` being
+    /// [`recent(i)`](Self::recent), read with two word loads.
+    #[inline]
+    pub fn recent32(&self) -> u32 {
+        // The window of absolute positions pos-32 .. pos-1, oldest in bit 0;
+        // BUF_BITS is a multiple of 64, so the window's words wrap whole.
+        let start = self.pos.wrapping_sub(32) as usize % BUF_BITS;
+        let (w, b) = (start / 64, start % 64);
+        let lo = self.buf[w] >> b;
+        let hi = if b == 0 { 0 } else { self.buf[(w + 1) % BUF_WORDS] << (64 - b) };
+        let born = if self.pos >= 32 { u32::MAX } else { (1u32 << self.pos) - 1 };
+        ((lo | hi) as u32).reverse_bits() & born
+    }
+
     /// Inserts a branch outcome (speculatively, at predict time).
     pub fn insert(&mut self, taken: bool, pc: u64) {
         let pos = self.pos;
@@ -168,7 +193,19 @@ impl GlobalHistory {
 
     /// Captures the state for later recovery.
     pub fn snapshot(&self) -> HistorySnapshot {
-        HistorySnapshot { pos: self.pos, phist: self.phist, values: self.values }
+        let mut snap = HistorySnapshot::default();
+        self.snapshot_into(&mut snap);
+        snap
+    }
+
+    /// Captures the state into `snap`, writing only the live folds (see
+    /// [`HistorySnapshot`]).
+    #[inline]
+    pub fn snapshot_into(&self, snap: &mut HistorySnapshot) {
+        let n = self.n_folds;
+        snap.pos = self.pos;
+        snap.phist = self.phist;
+        snap.values[..n].copy_from_slice(&self.values[..n]);
     }
 
     /// Restores a snapshot (the state *before* the mispredicted branch was
@@ -179,11 +216,13 @@ impl GlobalHistory {
     }
 
     /// Restores a snapshot exactly (no re-insert). Used when squashing a
-    /// wrong-path branch entirely.
+    /// wrong-path branch entirely. Reads only the live folds.
+    #[inline]
     pub fn restore(&mut self, snap: &HistorySnapshot) {
+        let n = self.n_folds;
         self.pos = snap.pos;
         self.phist = snap.phist;
-        self.values = snap.values;
+        self.values[..n].copy_from_slice(&snap.values[..n]);
     }
 }
 
@@ -292,6 +331,47 @@ mod tests {
         assert!(!gh.recent(0));
         assert!(gh.recent(1));
         assert!(!gh.recent(2)); // beyond inserted history
+    }
+
+    #[test]
+    fn recent32_matches_recent_across_rewinds_and_wraps() {
+        let mut gh = GlobalHistory::new();
+        gh.add_fold(12, 6);
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut snaps = Vec::new();
+        for i in 0..3 * BUF_BITS as u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            if x.is_multiple_of(5) {
+                snaps.push(gh.snapshot());
+            }
+            if x.is_multiple_of(11) {
+                if let Some(s) = snaps.pop() {
+                    gh.restore(&s);
+                }
+            }
+            let want = (0..32).fold(0u32, |acc, k| acc | (gh.recent(k) as u32) << k);
+            assert_eq!(gh.recent32(), want, "at insert {i}, pos {}", gh.pos);
+            gh.insert(x >> 63 == 1, i);
+        }
+    }
+
+    #[test]
+    fn snapshot_into_and_restore_touch_only_live_folds() {
+        let mut gh = GlobalHistory::new();
+        let h = gh.add_fold(9, 4);
+        for i in 0..40 {
+            gh.insert(i % 3 == 0, i);
+        }
+        let mut snap = HistorySnapshot { values: [0xdead_beef; MAX_FOLDS], ..HistorySnapshot::default() };
+        gh.snapshot_into(&mut snap);
+        assert_eq!(snap.values[0], gh.folded(h));
+        assert!(snap.values[1..].iter().all(|&v| v == 0xdead_beef), "slots past the live folds are left alone");
+        let before = gh.snapshot();
+        gh.insert(true, 99);
+        gh.restore(&snap);
+        assert_eq!(gh.snapshot(), before, "stale slots are never read back");
     }
 
     #[test]

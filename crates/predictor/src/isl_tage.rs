@@ -18,7 +18,7 @@ use crate::loop_pred::{LoopMeta, LoopPredictor};
 use crate::tage::{Tage, TageConfig, TageMeta};
 
 /// Per-prediction metadata for [`IslTage`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct IslTageMeta {
     tage: TageMeta,
     loop_meta: LoopMeta,
@@ -55,20 +55,56 @@ impl IslTage {
 
     /// Predicts the branch at `pc`, speculatively updating internal history.
     pub fn predict(&mut self, pc: u64) -> (bool, IslTageMeta) {
-        let loop_meta = self.loop_pred.predict(pc);
-        let (tage_pred, tage_meta) = self.tage.predict(pc);
+        let mut meta = IslTageMeta::default();
+        let pred = self.predict_into(pc, &mut meta);
+        (pred, meta)
+    }
+
+    /// Predicts the branch at `pc`, speculatively updating internal
+    /// history, and fills `meta` in place, whatever it held before.
+    ///
+    /// The history snapshot is taken first; the speculative history then
+    /// gets the *final* direction, inserted once.
+    #[inline]
+    pub fn predict_into(&mut self, pc: u64, meta: &mut IslTageMeta) -> bool {
+        self.tage.hist.snapshot_into(&mut meta.tage.snapshot);
+        let pred = self.settle(pc, meta);
+        self.tage.hist.insert(pred, pc);
+        pred
+    }
+
+    /// The final direction for `pc`, with every field of `meta` but the
+    /// history snapshot filled; advances the loop predictor's speculative
+    /// counter and leaves the history alone.
+    #[inline]
+    fn settle(&mut self, pc: u64, meta: &mut IslTageMeta) -> bool {
+        meta.loop_meta = self.loop_pred.predict(pc);
+        let tage_pred = self.tage.lookup(pc, &mut meta.tage);
         // The statistical corrector may invert unconfident TAGE output.
-        let (sc_pred, corrector) = self.corrector.filter(pc, tage_pred, tage_meta.provider_confident());
+        let (sc_pred, corrector) = self.corrector.filter(pc, tage_pred, meta.tage.provider_confident());
+        meta.corrector = corrector;
         // Priority: loop predictor (when confident) > corrector > TAGE.
-        let (pred, from_loop) = match loop_meta.pred {
+        (meta.pred, meta.from_loop) = match meta.loop_meta.pred {
             Some(p) => (p, true),
             None => (sc_pred, false),
         };
-        if pred != tage_pred {
-            // The speculative history must reflect the *final* prediction.
-            self.tage.recover(&tage_meta, pred, pc);
+        meta.pred
+    }
+
+    /// Immediate-update predict, repair and train (the profiler's replay):
+    /// what [`predict`](Self::predict), [`recover`](Self::recover) on a
+    /// miss and [`train`](Self::train) do, without the history snapshot.
+    /// The resolved direction is already known, so it is the one inserted.
+    /// Returns whether the prediction was wrong.
+    pub fn observe(&mut self, pc: u64, taken: bool) -> bool {
+        let mut meta = IslTageMeta::default();
+        let pred = self.settle(pc, &mut meta);
+        self.tage.hist.insert(taken, pc);
+        if pred != taken {
+            self.loop_pred.recover(&meta.loop_meta, taken);
         }
-        (pred, IslTageMeta { tage: tage_meta, loop_meta, corrector, pred, from_loop })
+        self.train(pc, taken, &meta);
+        pred != taken
     }
 
     /// Repairs speculative state after this branch mispredicted and

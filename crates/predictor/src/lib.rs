@@ -114,6 +114,10 @@ pub trait DirectionPredictor {
 
     /// Immediate-update convenience for trace-driven profiling: predict,
     /// repair, train, and report whether the prediction was wrong.
+    ///
+    /// The history predictors override it with the same effect and no
+    /// metadata snapshot: the resolved direction is known up front, so it
+    /// is the one inserted into the history, once.
     fn observe(&mut self, pc: u64, taken: bool) -> bool {
         let (pred, meta) = self.predict(pc);
         if pred != taken {
@@ -166,16 +170,23 @@ impl DirectionPredictor for Bimodal {
     fn clone_box(&self) -> Box<dyn DirectionPredictor> {
         Box::new(self.clone())
     }
+    fn observe(&mut self, pc: u64, taken: bool) -> bool {
+        let pred = Bimodal::predict(self, pc);
+        Bimodal::train(self, pc, taken);
+        pred != taken
+    }
 }
 
 impl DirectionPredictor for Gshare {
     fn predict_into(&mut self, pc: u64, meta: &mut Option<PredMeta>) -> bool {
-        let (p, m) = Gshare::predict(self, pc);
         match meta {
-            Some(PredMeta::Gshare(b)) => **b = m,
-            _ => *meta = Some(PredMeta::Gshare(Box::new(m))),
+            Some(PredMeta::Gshare(b)) => Gshare::predict_into(self, pc, b),
+            _ => {
+                let (p, m) = Gshare::predict(self, pc);
+                *meta = Some(PredMeta::Gshare(Box::new(m)));
+                p
+            }
         }
-        p
     }
     fn recover(&mut self, pc: u64, taken: bool, meta: &PredMeta) {
         if let PredMeta::Gshare(m) = meta {
@@ -199,23 +210,20 @@ impl DirectionPredictor for Gshare {
         Box::new(self.clone())
     }
     fn observe(&mut self, pc: u64, taken: bool) -> bool {
-        let (pred, m) = Gshare::predict(self, pc);
-        if pred != taken {
-            Gshare::recover(self, &m, taken, pc);
-        }
-        Gshare::train(self, taken, &m);
-        pred != taken
+        Gshare::observe(self, pc, taken)
     }
 }
 
 impl DirectionPredictor for Perceptron {
     fn predict_into(&mut self, pc: u64, meta: &mut Option<PredMeta>) -> bool {
-        let (p, m) = Perceptron::predict(self, pc);
         match meta {
-            Some(PredMeta::Perceptron(b)) => **b = m,
-            _ => *meta = Some(PredMeta::Perceptron(Box::new(m))),
+            Some(PredMeta::Perceptron(b)) => Perceptron::predict_into(self, pc, b),
+            _ => {
+                let (p, m) = Perceptron::predict(self, pc);
+                *meta = Some(PredMeta::Perceptron(Box::new(m)));
+                p
+            }
         }
-        p
     }
     fn recover(&mut self, pc: u64, taken: bool, meta: &PredMeta) {
         if let PredMeta::Perceptron(m) = meta {
@@ -239,23 +247,20 @@ impl DirectionPredictor for Perceptron {
         Box::new(self.clone())
     }
     fn observe(&mut self, pc: u64, taken: bool) -> bool {
-        let (pred, m) = Perceptron::predict(self, pc);
-        if pred != taken {
-            Perceptron::recover(self, &m, taken, pc);
-        }
-        Perceptron::train(self, taken, &m);
-        pred != taken
+        Perceptron::observe(self, pc, taken)
     }
 }
 
 impl DirectionPredictor for IslTage {
     fn predict_into(&mut self, pc: u64, meta: &mut Option<PredMeta>) -> bool {
-        let (p, m) = IslTage::predict(self, pc);
         match meta {
-            Some(PredMeta::IslTage(b)) => **b = m,
-            _ => *meta = Some(PredMeta::IslTage(Box::new(m))),
+            Some(PredMeta::IslTage(b)) => IslTage::predict_into(self, pc, b),
+            _ => {
+                let (p, m) = IslTage::predict(self, pc);
+                *meta = Some(PredMeta::IslTage(Box::new(m)));
+                p
+            }
         }
-        p
     }
     fn recover(&mut self, pc: u64, taken: bool, meta: &PredMeta) {
         if let PredMeta::IslTage(m) = meta {
@@ -279,12 +284,7 @@ impl DirectionPredictor for IslTage {
         Box::new(self.clone())
     }
     fn observe(&mut self, pc: u64, taken: bool) -> bool {
-        let (pred, m) = IslTage::predict(self, pc);
-        if pred != taken {
-            IslTage::recover(self, pc, taken, &m);
-        }
-        IslTage::train(self, pc, taken, &m);
-        pred != taken
+        IslTage::observe(self, pc, taken)
     }
 }
 

@@ -9,7 +9,7 @@
 //! is restored from the per-branch [`LoopMeta`] on a squash or misprediction.
 
 /// Per-prediction metadata for recovery and training.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct LoopMeta {
     /// Index of the entry used, if the branch hit in the table.
     entry: Option<usize>,

@@ -8,7 +8,8 @@
 
 use crate::history::{GlobalHistory, HistorySnapshot};
 
-/// History length (number of weights per entry, minus the bias).
+/// History length (number of weights per entry, minus the bias): one
+/// [`GlobalHistory::recent32`] word.
 const HIST_LEN: usize = 32;
 /// Weight saturation bound.
 const WMAX: i16 = 127;
@@ -16,7 +17,7 @@ const WMAX: i16 = 127;
 const THETA: i32 = (1.93 * HIST_LEN as f64 + 14.0) as i32;
 
 /// Per-prediction metadata.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PerceptronMeta {
     snapshot: HistorySnapshot,
     /// Dot-product output at predict time.
@@ -24,8 +25,8 @@ pub struct PerceptronMeta {
     /// Predicted direction.
     pub pred: bool,
     index: usize,
-    /// History bits used (most recent first).
-    bits: [bool; HIST_LEN],
+    /// History bits used, bit `i` being the outcome `i` branches back.
+    bits: u32,
 }
 
 /// A global-history perceptron predictor.
@@ -50,20 +51,47 @@ impl Perceptron {
 
     /// Predicts the branch at `pc`, speculatively updating the history.
     pub fn predict(&mut self, pc: u64) -> (bool, PerceptronMeta) {
-        let index = self.index(pc);
-        let mut bits = [false; HIST_LEN];
-        for (i, b) in bits.iter_mut().enumerate() {
-            *b = self.hist.recent(i);
-        }
-        let w = &self.weights[index];
-        let mut output = w[0] as i32;
-        for (i, &b) in bits.iter().enumerate() {
-            output += if b { w[i + 1] as i32 } else { -(w[i + 1] as i32) };
-        }
-        let pred = output >= 0;
-        let snapshot = self.hist.snapshot();
+        let mut meta = PerceptronMeta::default();
+        let pred = self.predict_into(pc, &mut meta);
+        (pred, meta)
+    }
+
+    /// Predicts the branch at `pc`, speculatively updating the history,
+    /// and fills `meta` in place, whatever it held before.
+    #[inline]
+    pub fn predict_into(&mut self, pc: u64, meta: &mut PerceptronMeta) -> bool {
+        self.hist.snapshot_into(&mut meta.snapshot);
+        let pred = self.lookup(pc, meta);
         self.hist.insert(pred, pc);
-        (pred, PerceptronMeta { snapshot, output, pred, index, bits })
+        pred
+    }
+
+    /// The prediction for `pc` from the current history, written into
+    /// every field of `meta` except its snapshot.
+    #[inline]
+    fn lookup(&self, pc: u64, meta: &mut PerceptronMeta) -> bool {
+        meta.index = self.index(pc);
+        meta.bits = self.hist.recent32();
+        let w = &self.weights[meta.index];
+        let mut output = w[0] as i32;
+        for (i, &wi) in w[1..].iter().enumerate() {
+            output += if (meta.bits >> i) & 1 == 1 { wi as i32 } else { -(wi as i32) };
+        }
+        meta.output = output;
+        meta.pred = output >= 0;
+        meta.pred
+    }
+
+    /// Immediate-update predict, repair and train: what
+    /// [`predict`](Self::predict), [`recover`](Self::recover) on a miss and
+    /// [`train`](Self::train) do, without the history snapshot. Returns
+    /// whether the prediction was wrong.
+    pub fn observe(&mut self, pc: u64, taken: bool) -> bool {
+        let mut meta = PerceptronMeta::default();
+        let pred = self.lookup(pc, &mut meta);
+        self.hist.insert(taken, pc);
+        self.train(taken, &meta);
+        pred != taken
     }
 
     /// Repairs the speculative history after a misprediction.
@@ -86,9 +114,9 @@ impl Perceptron {
         let t = if taken { 1i16 } else { -1i16 };
         let w = &mut self.weights[meta.index];
         w[0] = (w[0] + t).clamp(-WMAX, WMAX);
-        for (i, &b) in meta.bits.iter().enumerate() {
-            let x = if b { 1i16 } else { -1i16 };
-            w[i + 1] = (w[i + 1] + t * x).clamp(-WMAX, WMAX);
+        for (i, wi) in w[1..].iter_mut().enumerate() {
+            let x = if (meta.bits >> i) & 1 == 1 { 1i16 } else { -1i16 };
+            *wi = (*wi + t * x).clamp(-WMAX, WMAX);
         }
     }
 

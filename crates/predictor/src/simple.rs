@@ -40,7 +40,7 @@ impl Bimodal {
 }
 
 /// Per-prediction metadata of [`Gshare`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct GshareMeta {
     snapshot: HistorySnapshot,
     index: usize,
@@ -69,11 +69,36 @@ impl Gshare {
 
     /// Predicts the branch at `pc`, speculatively updating the history.
     pub fn predict(&mut self, pc: u64) -> (bool, GshareMeta) {
-        let index = ((pc as usize >> 2) ^ self.hist.folded(self.fold) as usize) & ((1 << self.index_bits) - 1);
+        let mut meta = GshareMeta::default();
+        let pred = self.predict_into(pc, &mut meta);
+        (pred, meta)
+    }
+
+    /// Predicts the branch at `pc`, speculatively updating the history,
+    /// and fills `meta` in place, whatever it held before.
+    #[inline]
+    pub fn predict_into(&mut self, pc: u64, meta: &mut GshareMeta) -> bool {
+        self.hist.snapshot_into(&mut meta.snapshot);
+        meta.index = self.index(pc);
+        meta.pred = self.ctrs[meta.index] >= 0;
+        self.hist.insert(meta.pred, pc);
+        meta.pred
+    }
+
+    fn index(&self, pc: u64) -> usize {
+        ((pc as usize >> 2) ^ self.hist.folded(self.fold) as usize) & ((1 << self.index_bits) - 1)
+    }
+
+    /// Immediate-update predict, repair and train: what
+    /// [`predict`](Self::predict), [`recover`](Self::recover) on a miss and
+    /// [`train`](Self::train) do, without the history snapshot. Returns
+    /// whether the prediction was wrong.
+    pub fn observe(&mut self, pc: u64, taken: bool) -> bool {
+        let index = self.index(pc);
         let pred = self.ctrs[index] >= 0;
-        let snapshot = self.hist.snapshot();
-        self.hist.insert(pred, pc);
-        (pred, GshareMeta { snapshot, index, pred })
+        self.hist.insert(taken, pc);
+        Self::bump(&mut self.ctrs[index], taken);
+        pred != taken
     }
 
     /// Repairs the history after a misprediction.
@@ -88,7 +113,10 @@ impl Gshare {
 
     /// Trains with the resolved direction.
     pub fn train(&mut self, taken: bool, meta: &GshareMeta) {
-        let c = &mut self.ctrs[meta.index];
+        Self::bump(&mut self.ctrs[meta.index], taken);
+    }
+
+    fn bump(c: &mut i8, taken: bool) {
         if taken {
             *c = (*c + 1).min(1);
         } else {

@@ -54,7 +54,7 @@ struct TaggedEntry {
 pub const MAX_TABLES: usize = 16;
 
 /// Per-prediction metadata carried by an in-flight branch.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TageMeta {
     /// History state before this branch (for recovery).
     pub snapshot: HistorySnapshot,
@@ -88,7 +88,9 @@ pub struct Tage {
     cfg: TageConfig,
     base: Vec<i8>,
     tables: Vec<Vec<TaggedEntry>>,
-    hist: GlobalHistory,
+    /// The speculative history; [`IslTage`](crate::IslTage) snapshots and
+    /// inserts into it around its own direction.
+    pub(crate) hist: GlobalHistory,
     idx_folds: Vec<usize>,
     tag_folds1: Vec<usize>,
     tag_folds2: Vec<usize>,
@@ -144,9 +146,28 @@ impl Tage {
 
     /// Predicts the branch at `pc`, speculatively updating the history.
     pub fn predict(&mut self, pc: u64) -> (bool, TageMeta) {
+        let mut meta = TageMeta::default();
+        let pred = self.predict_into(pc, &mut meta);
+        (pred, meta)
+    }
+
+    /// Predicts the branch at `pc`, speculatively updating the history,
+    /// and fills `meta` in place, whatever it held before.
+    #[inline]
+    pub fn predict_into(&mut self, pc: u64, meta: &mut TageMeta) -> bool {
+        self.hist.snapshot_into(&mut meta.snapshot);
+        let pred = self.lookup(pc, meta);
+        self.hist.insert(pred, pc);
+        pred
+    }
+
+    /// TAGE's prediction for `pc` from the current history. Writes every
+    /// field of `meta` but its snapshot; of `indices` and `tags` it writes
+    /// one entry per table, all that [`train`](Self::train) reads.
+    #[inline]
+    pub(crate) fn lookup(&self, pc: u64, meta: &mut TageMeta) -> bool {
         let n = self.tables.len();
-        let mut indices = [0u16; MAX_TABLES];
-        let mut tags = [0u16; MAX_TABLES];
+        let (indices, tags) = (&mut meta.indices, &mut meta.tags);
         for t in 0..n {
             indices[t] = self.table_index(pc, t) as u16;
             tags[t] = self.table_tag(pc, t);
@@ -184,21 +205,14 @@ impl Tage {
             None => (base_pred, base_idx, false, base_pred),
         };
 
-        let snapshot = self.hist.snapshot();
-        self.hist.insert(pred, pc);
-        let meta = TageMeta {
-            snapshot,
-            pred,
-            provider,
-            provider_idx,
-            provider_dir,
-            alt_pred,
-            base_idx,
-            provider_new,
-            indices,
-            tags,
-        };
-        (pred, meta)
+        meta.pred = pred;
+        meta.provider = provider;
+        meta.provider_idx = provider_idx;
+        meta.provider_dir = provider_dir;
+        meta.alt_pred = alt_pred;
+        meta.base_idx = base_idx;
+        meta.provider_new = provider_new;
+        pred
     }
 
     /// Repairs the speculative history after `pc` resolved `taken` against a

@@ -116,23 +116,22 @@ impl fmt::Display for ProfileReport {
     }
 }
 
+/// Replays conditional branches into the predictor and counts them per PC
+/// in a table as long as the program, so a branch costs one indexed
+/// update; [`profile`] folds the table into `per_branch` once at the end.
 struct ProfileSink<'a> {
     predictor: &'a mut dyn DirectionPredictor,
-    report: &'a mut ProfileReport,
+    per_pc: Vec<BranchProfile>,
 }
 
 impl TraceSink for ProfileSink<'_> {
     fn retire(&mut self, ev: &RetireEvent) {
         if let (Instr::Branch { .. }, Some(taken)) = (&ev.instr, ev.taken) {
             let miss = self.predictor.observe(ev.pc as u64 * 4, taken);
-            self.report.branches += 1;
-            let b = self.report.per_branch.entry(ev.pc).or_default();
+            let b = &mut self.per_pc[ev.pc as usize];
             b.executed += 1;
             b.taken += taken as u64;
-            if miss {
-                b.mispredicted += 1;
-                self.report.mispredictions += 1;
-            }
+            b.mispredicted += miss as u64;
         }
     }
 }
@@ -150,21 +149,19 @@ impl TraceSink for ProfileSink<'_> {
 pub fn profile(workload: &Workload, predictor_name: &str, instruction_limit: u64) -> Result<ProfileReport, SimError> {
     let mut predictor =
         predictor_by_name(predictor_name).unwrap_or_else(|| panic!("unknown predictor `{predictor_name}`"));
-    let mut report = ProfileReport {
+    let mut machine = Machine::new(workload.program.clone(), workload.mem.clone());
+    let mut sink =
+        ProfileSink { predictor: predictor.as_mut(), per_pc: vec![BranchProfile::default(); workload.program.len()] };
+    let stats = machine.run(instruction_limit, &mut sink)?;
+    let per_branch: BTreeMap<u32, BranchProfile> = (0u32..).zip(sink.per_pc).filter(|(_, b)| b.executed > 0).collect();
+    Ok(ProfileReport {
         name: workload.name,
         predictor: predictor.name(),
-        instructions: 0,
-        branches: 0,
-        mispredictions: 0,
-        per_branch: BTreeMap::new(),
-    };
-    let mut machine = Machine::new(workload.program.clone(), workload.mem.clone());
-    {
-        let mut sink = ProfileSink { predictor: predictor.as_mut(), report: &mut report };
-        let stats = machine.run(instruction_limit, &mut sink)?;
-        report.instructions = stats.retired;
-    }
-    Ok(report)
+        instructions: stats.retired,
+        branches: per_branch.values().map(|b| b.executed).sum(),
+        mispredictions: per_branch.values().map(|b| b.mispredicted).sum(),
+        per_branch,
+    })
 }
 
 /// MPKI attributed to each control-flow class (the paper's Fig. 6c): joins

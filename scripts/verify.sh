@@ -17,6 +17,13 @@ cargo build --release --offline --workspace
 echo "== tier-1: cargo test -q --offline --workspace"
 cargo test -q --offline --workspace
 
+echo "== benchmark gate: perfbench builds and its short runs pass"
+# perfbench is a separate package (its own workspace), so the workspace
+# build and tests above never compile it; it drives the public API the
+# repository benchmark depends on (predictor_by_name, observe, Machine::run,
+# Hierarchy::access, cfd_profile::profile, Engine::run_all).
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "== lint gate: cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy -q --offline --workspace --all-targets -- -D warnings
 
